@@ -51,11 +51,6 @@ GATED_METRICS: Dict[str, str] = {
     "disabled_overhead_fraction": "lower",
     "domino_mbps": "higher",
     "sweep_events_per_sec": "higher",
-    # Matrix-engine throughput on the fig14 workload and its ratio
-    # over the reference engine (benchmarks/test_matrix_speedup.py):
-    # a drop means the vectorized medium regressed.
-    "matrix_events_per_sec": "higher",
-    "matrix_speedup": "higher",
     # Critical-path makespan percentiles of the seeded fig12 reference
     # run (schema v3 causal spans) — deterministic simulation outputs,
     # so a move means the protocol/scheduling code changed.

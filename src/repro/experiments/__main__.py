@@ -5,7 +5,6 @@ Usage::
     python -m repro.experiments            # full report to stdout
     python -m repro.experiments --quick    # reduced runs/horizons
     python -m repro.experiments --out out/report.txt
-    python -m repro.experiments --engine matrix   # vectorized backend
 
 The per-experiment modules remain individually runnable
 (``python -m repro.experiments.fig02_motivation`` etc.); this driver
@@ -19,7 +18,6 @@ import os
 import time
 
 from ..telemetry import get_logger
-from . import common
 from . import (fig02_motivation, fig05_fig06_rop, fig09_signatures,
                fig10_microscope, fig11_misalignment, fig12_t10_2,
                fig14_random, sec5_extensions, sec5_polling, tab02_usrp,
@@ -88,13 +86,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=str, default=None,
                         help="also write the report to this file "
                              "(reports belong under the untracked out/)")
-    parser.add_argument("--engine", choices=common.ENGINES,
-                        default="event",
-                        help="simulation backend for every run "
-                             "(matrix = vectorized, byte-identical "
-                             "traces; see DESIGN.md 'Engine backends')")
     args = parser.parse_args(argv)
-    common.set_default_engine(args.engine)
 
     log = get_logger("experiments")
     chunks = []

@@ -33,43 +33,8 @@ from ..traffic.udp import CbrSource, SaturatedSource
 
 SCHEMES = ("dcf", "centaur", "domino", "omniscient")
 
-#: Simulation backends selectable per run (see repro.sim.protocol):
-#: the reference event engine and the vectorized matrix engine.
-ENGINES = ("event", "matrix")
-
 DEFAULT_HORIZON_US = 1_000_000.0
 DEFAULT_WARMUP_US = 100_000.0
-
-# Process-wide backend default, used when a caller leaves run_scheme's
-# ``engine`` at None.  `python -m repro.experiments --engine matrix`
-# sets it once so every figure runner picks up the selection without
-# threading a parameter through each module.
-_default_engine = "event"
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the backend used when ``run_scheme(engine=None)``."""
-    global _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
-    _default_engine = engine
-
-
-def default_engine() -> str:
-    """The backend ``run_scheme`` uses when ``engine`` is None."""
-    return _default_engine
-
-
-def make_engine(engine: str, *, seed: int, profile: bool = False) -> Simulator:
-    """Build the requested simulation backend (``"event"`` /
-    ``"matrix"``).  Both satisfy :class:`repro.sim.protocol.
-    EngineProtocol` and produce byte-identical canonical traces."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
-    if engine == "matrix":
-        from ..sim.matrix import MatrixSimulator
-        return MatrixSimulator(seed=seed, profile=profile)
-    return Simulator(seed=seed, profile=profile)
 
 
 @dataclass
@@ -81,8 +46,6 @@ class RunResult:
     horizon_us: float
     recorder: FlowRecorder
     macs: Dict[int, object]
-    #: Simulation backend the run used ("event" or "matrix").
-    engine: str = "event"
     controller: object = None
     domino: Optional[DominoNetwork] = None
     tcp_flows: List[TcpFlow] = field(default_factory=list)
@@ -153,9 +116,7 @@ def run_scheme(scheme: str, topology: Topology, *,
                trigger_model: Optional[TriggerDetectionModel] = None,
                queue_capacity: int = 100,
                trace: Union[bool, telemetry.TraceRecorder, None] = None,
-               profile: bool = False,
-               engine: Optional[str] = None
-               ) -> RunResult:
+               profile: bool = False) -> RunResult:
     """Run one scheme on one topology with the Sec. 4.2.1 traffic setup.
 
     ``saturated=True`` keeps every flow's queue full (Fig. 2 /
@@ -173,17 +134,9 @@ def run_scheme(scheme: str, topology: Topology, *,
     ``profile=True`` additionally times every event-loop callback site
     (``RunResult.profile``; also surfaced as ``engine.site.*`` gauges
     when tracing).  Adds two clock reads per event — opt-in only.
-
-    ``engine`` selects the simulation backend: ``"event"`` (the
-    reference heap engine) or ``"matrix"`` (the vectorized backend —
-    byte-identical traces, ~1.5-2.5x faster on dense topologies,
-    growing with station count).  None means the process-wide default
-    (:func:`default_engine`).  See DESIGN.md, "Engine backends".
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
-    if engine is None:
-        engine = _default_engine
     recorder: Optional[telemetry.TraceRecorder] = None
     if isinstance(trace, telemetry.TraceRecorder):
         recorder = trace          # explicit isinstance: an *empty*
@@ -198,7 +151,7 @@ def run_scheme(scheme: str, topology: Topology, *,
             saturated=saturated, tcp=tcp, payload_bytes=payload_bytes,
             seed=seed, domino_config=domino_config,
             trigger_model=trigger_model, queue_capacity=queue_capacity,
-            recorder=recorder, profile=profile, engine=engine)
+            recorder=recorder, profile=profile)
     finally:
         if recorder is not None:
             telemetry.deactivate()
@@ -212,9 +165,8 @@ def _run_scheme(scheme: str, topology: Topology, *,
                 trigger_model: Optional[TriggerDetectionModel],
                 queue_capacity: int,
                 recorder: Optional[telemetry.TraceRecorder],
-                profile: bool = False,
-                engine: str = "event") -> RunResult:
-    sim = make_engine(engine, seed=seed, profile=profile)
+                profile: bool = False) -> RunResult:
+    sim = Simulator(seed=seed, profile=profile)
     controller = None
     domino = None
     if scheme == "dcf":
@@ -273,7 +225,7 @@ def _run_scheme(scheme: str, topology: Topology, *,
             airtime / horizon_us if horizon_us > 0 else 0.0)
     return RunResult(scheme=scheme, topology=topology,
                      horizon_us=horizon_us, recorder=flow_recorder, macs=macs,
-                     engine=engine, controller=controller, domino=domino,
+                     controller=controller, domino=domino,
                      tcp_flows=tcp_flows, trace=recorder,
                      profile=sim.profile_snapshot() if profile else None)
 

@@ -33,12 +33,10 @@ from .points import (ExperimentPoint, FlowSummary, PointResult, SweepResult,
                      TopologySpec)
 from .progress import SweepMonitor
 from .report import render_sweep_report, write_sweep_report
-from .sweep import (EngineDivergence, run_point, run_sweep, scheme_sweep,
-                    trace_digest)
+from .sweep import run_point, run_sweep, scheme_sweep, trace_digest
 
 __all__ = [
-    "EngineDivergence", "ExperimentPoint", "FlowSummary", "PointResult",
-    "SweepMonitor", "SweepResult", "TopologySpec",
-    "render_sweep_report", "run_point", "run_sweep", "scheme_sweep",
-    "trace_digest", "write_sweep_report",
+    "ExperimentPoint", "FlowSummary", "PointResult", "SweepMonitor",
+    "SweepResult", "TopologySpec", "render_sweep_report", "run_point",
+    "run_sweep", "scheme_sweep", "trace_digest", "write_sweep_report",
 ]

@@ -64,11 +64,6 @@ class ExperimentPoint:
     horizon_us: float = 1_000_000.0
     warmup_us: float = 100_000.0
     run_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: Simulation backend for this point ("event" or "matrix"; see
-    #: repro.sim.protocol).  Backends are trace-identical, so mixing
-    #: engines within one sweep is legitimate — the field exists so a
-    #: sweep can route dense points to the vectorized engine.
-    engine: str = "event"
     #: Opt into wall-clock phase timing: the worker splits its wall
     #: time into build/run/reduce and reports it on
     #: :attr:`PointResult.phases`.  Timing only — results stay
@@ -127,8 +122,6 @@ class PointResult:
     flows: List[FlowSummary]
     events_processed: int
     wall_s: float
-    #: Backend that produced the result ("event" / "matrix").
-    engine: str = "event"
     #: Conversion-cache counters of the point's DOMINO controller
     #: (zero for schemes without one).
     cache_hits: int = 0
@@ -180,7 +173,6 @@ class PointResult:
             "flows": [flow.to_json() for flow in self.flows],
             "events_processed": self.events_processed,
             "wall_s": self.wall_s,
-            "engine": self.engine,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "trace_digest": self.trace_digest,
@@ -201,7 +193,6 @@ class PointResult:
             flows=[FlowSummary.from_json(f) for f in data["flows"]],
             events_processed=data["events_processed"],
             wall_s=data["wall_s"],
-            engine=data.get("engine", "event"),
             cache_hits=data.get("cache_hits", 0),
             cache_misses=data.get("cache_misses", 0),
             trace_digest=data.get("trace_digest"),

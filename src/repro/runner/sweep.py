@@ -45,7 +45,7 @@ from .points import (ExperimentPoint, FlowSummary, PointResult, SweepResult,
                      TopologySpec)
 from .progress import SweepMonitor, finish_record, start_record
 
-__all__ = ["EngineDivergence", "run_point", "run_sweep", "trace_digest"]
+__all__ = ["run_point", "run_sweep", "trace_digest"]
 
 #: How often the parent polls the heartbeat queue / stall detector.
 _POLL_S = 0.2
@@ -58,16 +58,6 @@ def trace_digest(records: Iterable[dict]) -> str:
         digest.update(dumps_record(record).encode())
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-class EngineDivergence(AssertionError):
-    """A cross-checked point's matrix and event traces differ.
-
-    Raised by ``run_point(..., cross_check=True)``; the message embeds
-    the first diverging record index and slot from
-    :func:`repro.telemetry.analysis.diff_traces` so a failing CI run
-    points straight at the offending event.
-    """
 
 
 def _reduce(point: ExperimentPoint, result: Any, wall_s: float,
@@ -120,25 +110,13 @@ def _reduce(point: ExperimentPoint, result: Any, wall_s: float,
 
 def run_point(point: ExperimentPoint, trace: bool = False,
               keep_trace: bool = False,
-              diagnose: bool = False,
-              cross_check: bool = False) -> PointResult:
-    """Execute one point in this process (the pool worker entry).
-
-    ``cross_check=True`` (needs ``trace=True``) re-runs the point on
-    the *other* simulation backend from a freshly built topology and
-    raises :class:`EngineDivergence` unless the two canonical traces
-    are byte-identical — the sweep-level enforcement of the engine
-    contract (:mod:`repro.sim.protocol`).  The shadow run is excluded
-    from the point's ``wall_s``/phase timings.
-    """
+              diagnose: bool = False) -> PointResult:
+    """Execute one point in this process (the pool worker entry)."""
     # Imported here, not at module top: the experiment modules import
     # repro.runner to build their sweeps, so a top-level import of
     # repro.experiments.common would be circular.
     from ..experiments.common import run_scheme
 
-    if cross_check and not trace:
-        raise ValueError("cross_check compares trace digests: "
-                         "run the sweep with trace=True")
     started = time.perf_counter()
     topology = point.topology.build()
     built = time.perf_counter()
@@ -146,42 +124,17 @@ def run_point(point: ExperimentPoint, trace: bool = False,
         point.scheme, topology,
         horizon_us=point.horizon_us, warmup_us=point.warmup_us,
         seed=point.seed, trace=True if trace else None,
-        engine=point.engine,
         **point.run_kwargs)
     ran = time.perf_counter()
     reduced = _reduce(point, result, time.perf_counter() - started,
                       keep_trace, diagnose)
-    reduced.engine = point.engine
     if point.phase_timing:
         reduced.phases = {
             "build_ms": (built - started) * 1_000.0,
             "run_ms": (ran - built) * 1_000.0,
             "reduce_ms": (time.perf_counter() - ran) * 1_000.0,
         }
-    if cross_check:
-        _cross_check(point, result.trace.records(), reduced.trace_digest)
     return reduced
-
-
-def _cross_check(point: ExperimentPoint, records: List[dict],
-                 digest: Optional[str]) -> None:
-    """Shadow-run ``point`` on the other backend; demand the same trace."""
-    from ..experiments.common import run_scheme
-    from ..telemetry.analysis import diff_traces
-
-    other = "event" if point.engine == "matrix" else "matrix"
-    shadow = run_scheme(
-        point.scheme, point.topology.build(),
-        horizon_us=point.horizon_us, warmup_us=point.warmup_us,
-        seed=point.seed, trace=True, engine=other,
-        **point.run_kwargs)
-    shadow_records = shadow.trace.records()
-    if trace_digest(shadow_records) == digest:
-        return
-    diff = diff_traces(records, shadow_records)
-    raise EngineDivergence(
-        f"point {point.label!r}: {point.engine} (A) and {other} (B) "
-        f"backends diverge\n{diff.render()}")
 
 
 # -- heartbeat plumbing (parallel path) ----------------------------------
@@ -207,12 +160,11 @@ def _post(record: dict) -> None:
 
 
 def _pool_run_point(index: int, point: ExperimentPoint, trace: bool,
-                    keep_trace: bool, diagnose: bool,
-                    cross_check: bool) -> PointResult:
+                    keep_trace: bool, diagnose: bool) -> PointResult:
     """Worker entry: run one point, bracketed by heartbeats."""
     _post(start_record(index, point.label))
     result = run_point(point, trace=trace, keep_trace=keep_trace,
-                       diagnose=diagnose, cross_check=cross_check)
+                       diagnose=diagnose)
     _post(finish_record(index, point.label, result.wall_s,
                         result.events_processed,
                         findings=result.doctor_findings,
@@ -238,7 +190,6 @@ def _resolve_emit(progress: Union[None, bool, Callable[[str], None]],
 def run_sweep(points: Sequence[ExperimentPoint], workers: int = 0,
               trace: bool = False, keep_traces: bool = False,
               diagnose: bool = False,
-              cross_check: bool = False,
               progress: Union[None, bool, Callable[[str], None]] = None,
               stall_timeout_s: float = 60.0) -> SweepResult:
     """Run every point; ``workers=0`` serial, else a pool of that size.
@@ -255,12 +206,6 @@ def run_sweep(points: Sequence[ExperimentPoint], workers: int = 0,
     and :class:`PointResult` carry health verdicts without shipping
     traces across the pipe.  Points running longer than
     ``stall_timeout_s`` without finishing are flagged once as stalled.
-
-    ``cross_check=True`` (needs ``trace=True``) shadow-runs every
-    point on the other simulation backend inside its worker and fails
-    the sweep with :class:`EngineDivergence` on the first trace
-    mismatch — roughly doubles the sweep's cost, so it is a CI/debug
-    switch, not a default.
     """
     points = list(points)
     emit = _resolve_emit(progress)
@@ -274,7 +219,7 @@ def run_sweep(points: Sequence[ExperimentPoint], workers: int = 0,
             if monitor is not None:
                 monitor.note(start_record(index, point.label))
             result = run_point(point, trace=trace, keep_trace=keep_traces,
-                               diagnose=diagnose, cross_check=cross_check)
+                               diagnose=diagnose)
             if monitor is not None:
                 monitor.note(finish_record(
                     index, point.label, result.wall_s,
@@ -284,13 +229,13 @@ def run_sweep(points: Sequence[ExperimentPoint], workers: int = 0,
             results.append(result)
     else:
         results = _run_pool(points, workers, trace, keep_traces, diagnose,
-                            cross_check, monitor)
+                            monitor)
     return SweepResult(points=results, workers=workers,
                        wall_s=time.perf_counter() - started)
 
 
 def _run_pool(points: Sequence[ExperimentPoint], workers: int, trace: bool,
-              keep_traces: bool, diagnose: bool, cross_check: bool,
+              keep_traces: bool, diagnose: bool,
               monitor: Optional[SweepMonitor]) -> List[PointResult]:
     """Fan out over a process pool, draining heartbeats while we wait.
 
@@ -309,7 +254,7 @@ def _run_pool(points: Sequence[ExperimentPoint], workers: int, trace: bool,
         ) as pool:
             futures = [
                 pool.submit(_pool_run_point, index, point, trace,
-                            keep_traces, diagnose, cross_check)
+                            keep_traces, diagnose)
                 for index, point in enumerate(points)
             ]
             if monitor is not None:
@@ -334,7 +279,6 @@ def _run_pool(points: Sequence[ExperimentPoint], workers: int, trace: bool,
 def scheme_sweep(schemes: Sequence[str], topology: TopologySpec, *,
                  horizon_us: float, warmup_us: float = 100_000.0,
                  seed: int = 1, label_prefix: str = "",
-                 engine: str = "event",
                  **run_kwargs: Any) -> List[ExperimentPoint]:
     """Convenience: the same topology/traffic across several schemes."""
     return [
@@ -342,6 +286,6 @@ def scheme_sweep(schemes: Sequence[str], topology: TopologySpec, *,
             scheme=scheme, topology=topology,
             label=f"{label_prefix}{scheme}", seed=seed,
             horizon_us=horizon_us, warmup_us=warmup_us,
-            engine=engine, run_kwargs=dict(run_kwargs))
+            run_kwargs=dict(run_kwargs))
         for scheme in schemes
     ]

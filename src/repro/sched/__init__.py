@@ -1,7 +1,6 @@
-"""Centralized scheduling: interference map, strict schedules, RAND."""
+"""Centralized scheduling: strict schedules, RAND."""
 
-from .interference_map import InterferenceMap
 from .rand_scheduler import RandScheduler
 from .strict_schedule import StrictSchedule
 
-__all__ = ["InterferenceMap", "RandScheduler", "StrictSchedule"]
+__all__ = ["RandScheduler", "StrictSchedule"]

@@ -10,6 +10,17 @@ scales simulated here).
 Determinism: every stochastic component draws from ``Simulator.rng``
 (or from an explicitly seeded ``random.Random`` handed to it), so a
 run is fully reproducible from its seed.
+
+Per-slot MAC countdown timers must not be collapsed into one scheduled
+event.  Each per-slot hop re-enters the heap and receives a fresh
+sequence number *at that boundary*; when several stations' counters
+expire at the same float instant (the collision case the whole model
+exists to capture), those sequence numbers decide commit order — and
+whether a commit fires before or after a frame-end edge sharing the
+instant, which changes SINRs.  A one-shot timer carries a sequence
+number from when the countdown *started* and provably reorders such
+ties.  Slot timers are therefore part of the observable ordering;
+make them cheap, not fewer.
 """
 
 from __future__ import annotations
@@ -75,11 +86,6 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Heap-based discrete-event simulator with a microsecond clock.
 
-    This is the *reference* implementation of the engine contract
-    (:class:`~repro.sim.protocol.EngineProtocol`): alternative
-    backends (:class:`~repro.sim.matrix.MatrixSimulator`) must match
-    its observable behaviour byte-for-byte at the trace level.
-
     Parameters
     ----------
     seed:
@@ -131,26 +137,11 @@ class Simulator:
         draw them here instead of from module/class globals: a fresh
         simulator always counts from zero again, so running two
         simulations in one process yields identical traces — the
-        property every cross-engine digest comparison relies on.
+        property the pinned trace digests rely on.
         """
         value = self._serials.get(name, 0) + 1
         self._serials[name] = value
         return value
-
-    # ------------------------------------------------------------------
-    # Backend factory hooks (see repro.sim.protocol)
-    # ------------------------------------------------------------------
-    def make_medium(self, profile: Any, rss_dbm: Callable[[int, int], float],
-                    energy_floor_dbm: float = -105.0) -> Any:
-        """Build this engine's medium implementation.
-
-        The import is local: ``medium.py`` imports this module, and
-        the hook exists precisely so callers (the topology builder)
-        never name a concrete medium class.
-        """
-        from .medium import Medium
-        return Medium(self, profile, rss_dbm,
-                      energy_floor_dbm=energy_floor_dbm)
 
     # ------------------------------------------------------------------
     # Scheduling

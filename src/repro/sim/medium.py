@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from .. import telemetry
 from .engine import Simulator
@@ -82,16 +82,6 @@ class Medium:
     # ------------------------------------------------------------------
     # Registration / topology
     # ------------------------------------------------------------------
-    def make_radio(self, node_id: int) -> "Radio":
-        """Build (and register) this medium's radio implementation.
-
-        The factory counterpart of ``Simulator.make_medium``: nodes
-        attach through it so a matrix medium can hand out its own
-        radio type without the node layer knowing backends exist.
-        """
-        from .radio import Radio
-        return Radio(node_id, self)
-
     def register(self, radio: "Radio") -> None:
         if radio.node_id in self._radios:
             raise ValueError(f"duplicate radio for node {radio.node_id}")
@@ -167,10 +157,8 @@ class Medium:
         return tx
 
     def _finish(self, tx: Transmission,
-                reach: Optional[List[Tuple["Radio", float, float]]] = None) -> None:
+                reach: List[Tuple["Radio", float, float]]) -> None:
         del self.active[tx.uid]
-        if reach is None:  # pragma: no cover - legacy direct callers
-            reach = self.audible(tx.src)
         for radio, rss_dbm, rss_mw in reach:
             radio.on_energy_end(tx, rss_dbm, rss_mw)
         src_radio = self._radios.get(tx.src)

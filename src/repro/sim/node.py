@@ -55,11 +55,9 @@ class Node:
 
         A node may be re-attached for a fresh run: the topology object
         is a description, so each simulation gets its own radio and
-        the stale MAC binding is dropped.  The radio type is the
-        medium's choice (``make_radio``) so engine backends stay
-        invisible to the node layer.
+        the stale MAC binding is dropped.
         """
-        self.radio = medium.make_radio(self.node_id)
+        self.radio = Radio(self.node_id, medium)
         self.mac = None
         return self.radio
 

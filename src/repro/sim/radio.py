@@ -80,10 +80,6 @@ class Radio:
         self._lock: Optional[Reception] = None
         self._own_tx: Optional[Transmission] = None
         self._cs_busy = False
-        # Number of TRIGGER receptions currently in ``_incoming`` —
-        # lets the SINR refresh skip signature-overlap accounting
-        # entirely for the (common) trigger-free energy edges.
-        self._trigger_count = 0
         self._noise_mw = self.profile.noise_mw()
         self._cs_mw = dbm_to_mw(self.profile.cs_threshold_dbm)
         # Power save (Sec. 5 energy saving): while asleep the radio
@@ -175,22 +171,18 @@ class Radio:
             rec.n_signatures = max(
                 1, len(frame.trigger_targets())
                 + len(frame.meta.get("rop_polls", ())))
-            self._trigger_count += 1
         self._incoming[tx.uid] = rec
         self._maybe_lock(rec)
         total = sum(r.rss_mw for r in self._incoming.values())
-        self._refresh_sinrs(total)
+        self._refresh_sinrs(total, rec.n_signatures > 0)
         self._update_cs(total)
 
     def on_energy_end(self, tx: Transmission, rss_dbm: float, rss_mw: float) -> None:
         rec = self._incoming.pop(tx.uid, None)
         if rec is None:  # registered after our TX started; still tracked
             return
-        if rec.n_signatures:
-            self._trigger_count -= 1
-        total = sum(r.rss_mw for r in self._incoming.values())
-        self._refresh_sinrs(total)
-        self._update_cs(total)
+        # No SINR refresh here: it would be a no-op (see _refresh_sinrs).
+        self._update_cs()
         self._deliver(rec)
 
     # ------------------------------------------------------------------
@@ -215,46 +207,42 @@ class Radio:
             self._lock.interrupted_by_tx = True  # old frame is lost
             self._lock = rec
 
-    def _refresh_sinrs(self, total: Optional[float] = None) -> None:
+    def _refresh_sinrs(self, total: float, trigger_started: bool) -> None:
         """Update the running worst-case interference of every tracked
-        frame (``total`` is the pre-summed incoming power, recomputed
-        here when the caller has none at hand).
+        frame at a start edge (``total`` is the summed incoming power).
 
         Only the interference *power* is tracked per edge; the dB-space
         minimum SINR is finalised once at delivery.  log10 is strictly
         monotone, so the step with the largest interference is exactly
         the step with the smallest SINR — same result, two log10 calls
         per frame instead of two per frame per energy edge.
+
+        End edges never refresh: dropping one non-negative term from a
+        left-to-right float sum cannot raise it (rounding is monotone),
+        so no interference total grows there.  Likewise the set of
+        overlapping signatures only grows when a TRIGGER starts, so
+        overlap counts are recounted only at those edges.
         """
-        incoming = self._incoming
-        if not incoming:
-            return
-        if total is None:
-            total = sum(r.rss_mw for r in incoming.values())
-        recs = incoming.values()
-        if not self._trigger_count:
-            for rec in recs:
-                interference = total - rec.rss_mw
-                if interference > rec.max_interference_mw:
-                    rec.max_interference_mw = interference
-            return
-        trigger_recs = [r for r in recs if r.n_signatures]
+        recs = self._incoming.values()
         for rec in recs:
             interference = total - rec.rss_mw
             if interference > rec.max_interference_mw:
                 rec.max_interference_mw = interference
-            if rec.n_signatures:
-                # Signatures that matter to the correlator are those of
-                # comparable power: bursts more than 10 dB below this
-                # one are negligible interference (Fig. 9's combining
-                # limit is about same-order waveforms).
-                floor_mw = rec.rss_mw / 10.0
-                signatures = 0
-                for other in trigger_recs:
-                    if other.rss_mw >= floor_mw:
-                        signatures += other.n_signatures
-                if signatures > rec.max_overlapping_signatures:
-                    rec.max_overlapping_signatures = signatures
+        if not trigger_started:
+            return
+        trigger_recs = [r for r in recs if r.n_signatures]
+        for rec in trigger_recs:
+            # Signatures that matter to the correlator are those of
+            # comparable power: bursts more than 10 dB below this one
+            # are negligible interference (Fig. 9's combining limit is
+            # about same-order waveforms).
+            floor_mw = rec.rss_mw / 10.0
+            signatures = 0
+            for other in trigger_recs:
+                if other.rss_mw >= floor_mw:
+                    signatures += other.n_signatures
+            if signatures > rec.max_overlapping_signatures:
+                rec.max_overlapping_signatures = signatures
 
     def _deliver(self, rec: Reception) -> None:
         if self.mac is None:

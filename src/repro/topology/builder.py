@@ -64,9 +64,7 @@ class Topology:
                                margin_db=margin_db)
 
     def build_medium(self, sim: Simulator) -> Medium:
-        # The engine picks its medium implementation (event vs matrix
-        # backend); the topology only supplies PHY + RSS ground truth.
-        medium = sim.make_medium(self.profile, self.trace.rss_fn())
+        medium = Medium(sim, self.profile, self.trace.rss_fn())
         self.network.attach_all(medium)
         return medium
 

@@ -9,8 +9,8 @@ is the structural enforcement tool from the trace-diff layer).
 
 import pytest
 
-from repro.runner import (ExperimentPoint, TopologySpec, run_point,
-                          run_sweep, scheme_sweep, trace_digest)
+from repro.runner import (ExperimentPoint, PointResult, TopologySpec,
+                          run_point, run_sweep, scheme_sweep, trace_digest)
 from repro.telemetry.analysis import diff_traces
 from repro.topology.builder import fig1_topology, random_t_topology
 
@@ -130,6 +130,17 @@ class TestRunPoint:
         flow = point.flows[0].flow
         assert point.flow_mbps(flow) == point.flows[0].mbps
         assert point.flow_mbps((-1, -2)) == 0.0
+
+
+class TestPointResultJson:
+    @pytest.mark.parametrize("legacy", [{}, {"engine": "matrix"}],
+                             ids=["current", "legacy_engine_key"])
+    def test_from_json_roundtrips(self, serial_parallel, legacy):
+        # Result files written before the single-engine simulator may
+        # carry an "engine" key; it is ignored, not rejected.
+        point = serial_parallel[0].points[0]
+        clone = PointResult.from_json({**point.to_json(), **legacy})
+        assert clone.to_json() == point.to_json()
 
 
 class TestSchemeSweep:

@@ -1,11 +1,12 @@
 """Integration tests for the medium + radio reception model."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.medium import Medium
+from repro.sim.medium import Medium, Transmission
 from repro.sim.packet import Frame, FrameKind, data_frame
-from repro.sim.phy import DOT11G
+from repro.sim.phy import DOT11G, dbm_to_mw, mw_to_dbm
 from repro.sim.radio import Radio
 
 
@@ -215,3 +216,96 @@ def test_duplicate_radio_registration_rejected():
     sim, medium, radios, macs = build({})
     with pytest.raises(ValueError):
         Radio(0, medium)
+
+
+# ----------------------------------------------------------------------
+# The radio refreshes SINR only at start edges and recounts signature
+# overlaps only when a TRIGGER starts.  Both skips must be invisible:
+# check them against a brute-force oracle that re-evaluates every edge
+# inside each frame's airtime.
+# ----------------------------------------------------------------------
+_frame_specs = st.lists(
+    st.tuples(st.booleans(),                                # TRIGGER?
+              st.floats(min_value=-95.0, max_value=-40.0),  # RSS dBm
+              st.integers(min_value=1, max_value=4)),       # signatures
+    min_size=1, max_size=6)
+
+
+@st.composite
+def _edge_sequences(draw):
+    """Frame specs plus an edge order: each frame's token appears twice
+    in a permutation; its first occurrence is the start edge, the
+    second the end edge, so every permutation is a valid sequence."""
+    specs = draw(_frame_specs)
+    tokens = [i for i in range(len(specs)) for _ in range(2)]
+    return specs, draw(st.permutations(tokens))
+
+
+def _oracle(specs, order, noise_mw):
+    """(min_sinr_db, max_overlapping_signatures) per frame index."""
+    rss_mw = [dbm_to_mw(rss) for _, rss, _ in specs]
+    worst = {}
+    overlap = {}
+    present = []
+    for i in order:
+        if i in present:
+            present.remove(i)
+        else:
+            present.append(i)
+            worst[i] = -1.0
+            overlap[i] = 0
+        total = sum(rss_mw[j] for j in present)
+        for j in present:
+            worst[j] = max(worst[j], total - rss_mw[j])
+            if specs[j][0]:
+                floor_mw = rss_mw[j] / 10.0
+                count = sum(specs[o][2] for o in present
+                            if specs[o][0] and rss_mw[o] >= floor_mw)
+                overlap[j] = max(overlap[j], count)
+    return {i: (mw_to_dbm(rss_mw[i]) - mw_to_dbm(worst[i] + noise_mw),
+                overlap[i])
+            for i in worst}
+
+
+@given(_edge_sequences())
+def test_edge_skips_match_brute_force_oracle(case):
+    specs, order = case
+    sim = Simulator(seed=1)
+    medium = Medium(sim, DOT11G, lambda tx, rx: -200.0)
+    radio = Radio(0, medium)
+    mac = RecordingMac()
+    radio.mac = mac
+    delivered = []
+    deliver = radio._deliver
+
+    def capture(rec):
+        delivered.append(rec)
+        deliver(rec)
+
+    radio._deliver = capture
+    txs = {}
+    for i in order:
+        is_trigger, rss_dbm, n_sig = specs[i]
+        if i in txs:
+            radio.on_energy_end(txs[i], rss_dbm, dbm_to_mw(rss_dbm))
+            continue
+        if is_trigger:
+            frame = Frame(kind=FrameKind.TRIGGER, src=i + 1, dst=None,
+                          meta={"targets": frozenset(range(n_sig)),
+                                "slot": 0})
+        else:
+            frame = data_frame(i + 1, 0, 512, i, 0.0)
+        txs[i] = Transmission(frame=frame, src=i + 1, start=0.0,
+                              end=1.0, tx_power_dbm=15.0)
+        radio.on_energy_start(txs[i], rss_dbm, dbm_to_mw(rss_dbm))
+
+    expected = _oracle(specs, order, radio.profile.noise_mw())
+    index = {tx.uid: i for i, tx in txs.items()}
+    assert len(delivered) == len(specs)
+    for rec in delivered:
+        assert ((rec.min_sinr_db, rec.max_overlapping_signatures)
+                == expected[index[rec.tx.uid]])
+    # What the MAC is handed for triggers is the same pair.
+    assert ([(sinr, count) for _, sinr, count in mac.triggers]
+            == [expected[index[rec.tx.uid]] for rec in delivered
+                if rec.n_signatures])

@@ -3,8 +3,7 @@
 PR 5 papered over the cycle with an in-place DOM201 suppression on a
 lazy import inside ``Topology.interference_map()``.  The shared type
 now lives in :mod:`repro.topology.interference_map` (the RSS-matrix
-view is topology ground truth), ``repro.sched`` re-exports it over the
-legal ``sched -> topology`` edge, and topology must never import sched
+view is topology ground truth), and topology must never import sched
 again — in either load order.
 """
 
@@ -41,15 +40,8 @@ def test_sched_first_load_order_still_works():
         "import repro.topology\n"
         "from repro.topology.builder import fig7_topology\n"
         "imap = fig7_topology().interference_map()\n"
-        "assert isinstance(imap, repro.sched.InterferenceMap)\n"
+        "assert isinstance(imap, repro.topology.InterferenceMap)\n"
     )
-
-
-def test_shim_and_canonical_location_are_the_same_class():
-    from repro.sched.interference_map import InterferenceMap as shimmed
-    from repro.topology.interference_map import InterferenceMap as canonical
-
-    assert shimmed is canonical
 
 
 def test_no_dom201_suppression_left_in_topology():
