@@ -40,6 +40,9 @@ class Transmission:
     end: float
     tx_power_dbm: float
     uid: int = field(default_factory=lambda: next(_tx_ids))
+    # Signature count of a TRIGGER (targets + ROP polls), counted by the
+    # first receiving radio and shared by the rest; -1 = not yet counted.
+    n_signatures: int = -1
 
     @property
     def airtime_us(self) -> float:

@@ -54,7 +54,8 @@ def dbm_to_mw(dbm: float) -> float:
 
 
 def mw_to_dbm(mw: float) -> float:
-    """Convert power in milliwatts to dBm (-inf mW maps to -200 dBm)."""
+    """Convert power in milliwatts to dBm (any non-positive mW maps to
+    -200 dBm)."""
     if mw <= 0.0:
         return -200.0
     return 10.0 * math.log10(mw)

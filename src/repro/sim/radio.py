@@ -42,29 +42,42 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..mac.base import Mac
 
 
-@dataclass
+@dataclass(slots=True)
 class Reception:
     """Book-keeping for one frame being tracked at this radio."""
 
     tx: Transmission
     rss_dbm: float
     rss_mw: float
-    min_sinr_db: float = float("inf")
+    # Noise floor of the receiving radio (for ``min_sinr_db``).
+    noise_mw: float
+    # Signature count of a TRIGGER frame (targets + ROP polls; 0 for
+    # every other kind), so overlap accounting does not re-walk frame
+    # metadata per edge.
+    n_signatures: int = 0
     # Largest number of signature waveforms overlapping this frame at
     # any point in its airtime (TRIGGER frames only).  The trigger
     # detection model degrades with this count (Fig. 9).
     max_overlapping_signatures: int = 0
     interrupted_by_tx: bool = False
     # Running maximum of the interference power (total incoming minus
-    # this frame, noise excluded) seen over the airtime.  min SINR is
-    # derived from it once at delivery — log10 is monotone, so the
-    # worst step in mW is the worst step in dB — instead of paying two
-    # log10 calls per tracked frame on every energy edge.  Negative
+    # this frame, noise excluded) seen over the airtime.  Negative
     # means "never refreshed" and leaves ``min_sinr_db`` at +inf.
     max_interference_mw: float = -1.0
-    # Cached signature count of a TRIGGER frame (targets + ROP polls),
-    # so overlap accounting does not re-walk frame metadata per edge.
-    n_signatures: int = 0
+
+    @property
+    def min_sinr_db(self) -> float:
+        """Minimum SINR over the airtime so far.
+
+        Derived from the worst-case interference on read: log10 is
+        monotone, so the worst step in mW is the worst step in dB.  Only
+        the readers (an uninterrupted TRIGGER and the locked frame) pay
+        the two log10 calls, not every tracked frame.
+        """
+        if self.max_interference_mw < 0.0:
+            return float("inf")
+        return mw_to_dbm(self.rss_mw) - mw_to_dbm(
+            self.max_interference_mw + self.noise_mw)
 
 
 class Radio:
@@ -75,13 +88,18 @@ class Radio:
         self.medium = medium
         self.profile: PhyProfile = medium.profile
         self.mac: Optional["Mac"] = None
-        # All energy currently arriving, keyed by transmission uid.
+        # All energy currently arriving, keyed by transmission uid, and
+        # its RSS in mW under the same keys in the same order: every
+        # power total is ``sum()`` over ``_incoming_mw``'s values.
         self._incoming: Dict[int, Reception] = {}
+        self._incoming_mw: Dict[int, float] = {}
         self._lock: Optional[Reception] = None
         self._own_tx: Optional[Transmission] = None
         self._cs_busy = False
         self._noise_mw = self.profile.noise_mw()
         self._cs_mw = dbm_to_mw(self.profile.cs_threshold_dbm)
+        self._sensitivity_dbm = self.profile.sensitivity_dbm
+        self._capture_factor = dbm_to_mw(self.profile.capture_margin_db)
         # Power save (Sec. 5 energy saving): while asleep the radio
         # hears nothing; the MAC schedules sleep windows it knows are
         # free of involvement.
@@ -126,7 +144,7 @@ class Radio:
         return self._lock is not None
 
     def total_incoming_mw(self) -> float:
-        return sum(r.rss_mw for r in self._incoming.values())
+        return sum(self._incoming_mw.values())
 
     def channel_busy(self) -> bool:
         """Carrier-sense verdict right now."""
@@ -163,48 +181,62 @@ class Radio:
     # Energy events from the medium
     # ------------------------------------------------------------------
     def on_energy_start(self, tx: Transmission, rss_dbm: float, rss_mw: float) -> None:
-        rec = Reception(tx=tx, rss_dbm=rss_dbm, rss_mw=rss_mw)
-        if self._own_tx is not None or self.asleep:
-            rec.interrupted_by_tx = True
         frame = tx.frame
-        if frame.kind is FrameKind.TRIGGER:
-            rec.n_signatures = max(
-                1, len(frame.trigger_targets())
-                + len(frame.meta.get("rop_polls", ())))
-        self._incoming[tx.uid] = rec
-        self._maybe_lock(rec)
-        total = sum(r.rss_mw for r in self._incoming.values())
-        self._refresh_sinrs(total, rec.n_signatures > 0)
-        self._update_cs(total)
+        kind = frame.kind
+        n_signatures = 0
+        if kind is FrameKind.TRIGGER:
+            n_signatures = tx.n_signatures
+            if n_signatures < 0:
+                n_signatures = tx.n_signatures = max(
+                    1, len(frame.trigger_targets())
+                    + len(frame.meta.get("rop_polls", ())))
+        rec = Reception(tx, rss_dbm, rss_mw, self._noise_mw, n_signatures)
+        uid = tx.uid
+        self._incoming[uid] = rec
+        self._incoming_mw[uid] = rss_mw
+        if self._own_tx is not None or self.medium.sim.now < self._sleep_until:
+            rec.interrupted_by_tx = True
+        elif (not n_signatures and kind is not FrameKind.QUEUE_REPORT
+              and rss_dbm >= self._sensitivity_dbm):
+            self._maybe_lock(rec)
+        total = sum(self._incoming_mw.values())
+        self._refresh_sinrs(total, n_signatures > 0)
+        if not self._cs_busy:
+            # Busy stays busy when a term is added (see _update_cs).
+            self._update_cs(total)
 
     def on_energy_end(self, tx: Transmission, rss_dbm: float, rss_mw: float) -> None:
-        rec = self._incoming.pop(tx.uid, None)
+        uid = tx.uid
+        rec = self._incoming.pop(uid, None)
         if rec is None:  # registered after our TX started; still tracked
             return
+        del self._incoming_mw[uid]
         # No SINR refresh here: it would be a no-op (see _refresh_sinrs).
-        self._update_cs()
+        # Carrier sense re-sums only when busy from energy: idle stays
+        # idle when a term is dropped, and transmitting stays busy.
+        if self._cs_busy and self._own_tx is None:
+            self._update_cs()
         self._deliver(rec)
 
     # ------------------------------------------------------------------
     # Locking and SINR
     # ------------------------------------------------------------------
     def _maybe_lock(self, rec: Reception) -> None:
-        frame = rec.tx.frame
-        if frame.kind in (FrameKind.TRIGGER, FrameKind.QUEUE_REPORT):
-            return  # correlation path, never locked
-        if rec.interrupted_by_tx or rec.rss_dbm < self.profile.sensitivity_dbm:
-            return
-        if self._lock is None:
+        """Lock onto ``rec`` unless a lock is held past its preamble.
+
+        The caller has already rejected what can never lock: the
+        correlation path (TRIGGER, QUEUE_REPORT), frames arriving while
+        transmitting or asleep, and frames below sensitivity.
+        """
+        lock = self._lock
+        if lock is None:
             self._lock = rec
             return
         # Preamble capture: a much stronger frame arriving while the
         # current lock is still in its preamble steals the receiver.
-        in_preamble = (
-            self.medium.sim.now - self._lock.tx.start <= self.profile.preamble_us
-        )
-        margin_mw = self._lock.rss_mw * dbm_to_mw(self.profile.capture_margin_db) / 1.0
-        if in_preamble and rec.rss_mw >= margin_mw:
-            self._lock.interrupted_by_tx = True  # old frame is lost
+        if (self.medium.sim.now - lock.tx.start <= self.profile.preamble_us
+                and rec.rss_mw >= lock.rss_mw * self._capture_factor):
+            lock.interrupted_by_tx = True  # old frame is lost
             self._lock = rec
 
     def _refresh_sinrs(self, total: float, trigger_started: bool) -> None:
@@ -212,16 +244,16 @@ class Radio:
         frame at a start edge (``total`` is the summed incoming power).
 
         Only the interference *power* is tracked per edge; the dB-space
-        minimum SINR is finalised once at delivery.  log10 is strictly
-        monotone, so the step with the largest interference is exactly
-        the step with the smallest SINR — same result, two log10 calls
-        per frame instead of two per frame per energy edge.
+        minimum SINR is derived from it when read
+        (:attr:`Reception.min_sinr_db`).
 
         End edges never refresh: dropping one non-negative term from a
-        left-to-right float sum cannot raise it (rounding is monotone),
-        so no interference total grows there.  Likewise the set of
-        overlapping signatures only grows when a TRIGGER starts, so
-        overlap counts are recounted only at those edges.
+        left-to-right float sum cannot raise it (rounding is monotone;
+        for the compensated ``sum()`` of Python 3.12+ this is checked by
+        the oracle tests, not proved), so no interference total grows
+        there.  Likewise the set of overlapping signatures only grows
+        when a TRIGGER starts, so overlap counts are recounted only at
+        those edges.
         """
         recs = self._incoming.values()
         for rec in recs:
@@ -247,11 +279,6 @@ class Radio:
     def _deliver(self, rec: Reception) -> None:
         if self.mac is None:
             return
-        if rec.max_interference_mw >= 0.0:
-            # Finalise the minimum SINR from the tracked worst-case
-            # interference (see _refresh_sinrs).
-            rec.min_sinr_db = mw_to_dbm(rec.rss_mw) - mw_to_dbm(
-                rec.max_interference_mw + self._noise_mw)
         frame = rec.tx.frame
         if frame.kind is FrameKind.TRIGGER:
             if not rec.interrupted_by_tx:
@@ -287,11 +314,17 @@ class Radio:
     # Carrier sense edge detection
     # ------------------------------------------------------------------
     def _update_cs(self, total: Optional[float] = None) -> None:
+        """Re-evaluate carrier sense and signal an edge to the MAC.
+
+        Energy edges call this only where the verdict can flip: adding
+        a term to the incoming sum never lowers it, dropping one never
+        raises it (the same monotonicity as in :meth:`_refresh_sinrs`).
+        """
         if self._own_tx is not None:
             busy = True
         else:
             if total is None:
-                total = sum(r.rss_mw for r in self._incoming.values())
+                total = sum(self._incoming_mw.values())
             busy = total >= self._cs_mw
         if busy == self._cs_busy:
             return

@@ -4,8 +4,9 @@ The byte-identical canonical trace is the simulator's behaviour
 contract: a change that keeps every digest below is behaviour-
 preserving by definition.  The configurations cover Fig. 2 (saturated
 fig1 topology, all four schemes), Fig. 12 (T(10, 2), UDP and TCP) and
-Fig. 14 (random T(20, 3)) at CI-sized horizons — divergence is
-per-event, not per-horizon.
+Fig. 14 (random T(20, 3), at two simulator seeds) and the Sec. 5
+energy-saving network (the only caller of ``Radio.sleep_until``) at
+CI-sized horizons — divergence is per-event, not per-horizon.
 
 On a mismatch the failure message carries the
 :func:`~repro.telemetry.analysis.diff_traces` report of the run
@@ -19,7 +20,9 @@ Regenerate a pin only for an intended behaviour change, and say so.
 
 import pytest
 
+from repro import telemetry
 from repro.experiments.common import run_scheme
+from repro.experiments.sec5_extensions import run_energy
 from repro.runner import trace_digest
 from repro.telemetry.analysis import diff_traces
 from repro.topology.builder import (build_t_topology, fig1_topology,
@@ -47,6 +50,12 @@ PINS = {
         "0a4a7aa3d1b7c08f3ee21541c8979859e9e9e095b41480d66fafdeb98b89c586",
     "fig14/domino":
         "3d6df6aeb7298352e75152dc7d3719088859f3ea772f3fb63769798c86ddceef",
+    "fig14/dcf/seed7":
+        "7ee63f8cd375875721c25e12fa78fac751de161e27f30a75cf2566ba44cbd808",
+    "fig14/domino/seed7":
+        "7146f236e94be2cd7fc8bbb285cc1714c13e9ffde7dc8e7f3d2e12c32c453ebd",
+    "sec5/energy":
+        "aeb5f2c40bdfaa466c8ecc861d370998d1b2df3489f0c7652bffd2d5da2b534e",
 }
 
 
@@ -56,18 +65,21 @@ def _records(scheme, make_topology, seed, horizon_us, **run_kwargs):
     return result.trace.records()
 
 
-def _assert_pinned(label, scheme, make_topology, seed, horizon_us,
-                   **run_kwargs):
-    records = _records(scheme, make_topology, seed, horizon_us,
-                       **run_kwargs)
+def _assert_digest(label, make_records):
+    records = make_records()
     assert len(records) > 0, f"{label}: empty trace proves nothing"
     digest = trace_digest(records)
     if digest != PINS[label]:
-        rerun = _records(scheme, make_topology, seed, horizon_us,
-                         **run_kwargs)
+        rerun = make_records()
         pytest.fail(f"{label}: trace digest {digest} != pinned "
                     f"{PINS[label]}\nrun vs fresh rerun:\n"
                     f"{diff_traces(records, rerun).render()}")
+
+
+def _assert_pinned(label, scheme, make_topology, seed, horizon_us,
+                   **run_kwargs):
+    _assert_digest(label, lambda: _records(scheme, make_topology, seed,
+                                           horizon_us, **run_kwargs))
 
 
 @pytest.mark.parametrize("scheme",
@@ -98,6 +110,33 @@ def test_fig14_random_digest(scheme):
     _assert_pinned(f"fig14/{scheme}", scheme, _fig14_topology, seed=100,
                    horizon_us=60_000.0, downlink_mbps=10.0,
                    uplink_mbps=10.0)
+
+
+@pytest.mark.parametrize("scheme", ["dcf", "domino"])
+def test_fig14_random_second_seed_digest(scheme):
+    """Same placement and traffic, another simulator seed: a second
+    draw of backoffs and detection outcomes over the dense fan-out."""
+    _assert_pinned(f"fig14/{scheme}/seed7", scheme, _fig14_topology,
+                   seed=7, horizon_us=60_000.0, downlink_mbps=10.0,
+                   uplink_mbps=10.0)
+
+
+def _energy_records():
+    recorder = telemetry.activate()
+    try:
+        result = run_energy(horizon_us=120_000.0, seed=1)
+    finally:
+        telemetry.deactivate()
+    assert recorder.evicted == 0
+    assert result.sleep_fraction > 0.5, "the sleep path must be exercised"
+    return recorder.records()
+
+
+def test_sec5_energy_saving_digest():
+    """Both networks of ``run_energy``: the baseline, then the one with
+    client 5 energy-constrained, whose radio sleeps through slots that
+    do not involve it."""
+    _assert_digest("sec5/energy", _energy_records)
 
 
 def test_same_process_reruns_are_identical():

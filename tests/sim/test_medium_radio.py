@@ -1,7 +1,7 @@
 """Integration tests for the medium + radio reception model."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium, Transmission
@@ -11,7 +11,8 @@ from repro.sim.radio import Radio
 
 
 class RecordingMac:
-    """Minimal MAC stub recording every radio callback."""
+    """Minimal MAC stub recording every radio callback, as counts and
+    lists per kind and as one ordered ``events`` stream."""
 
     def __init__(self):
         self.received = []
@@ -21,27 +22,35 @@ class RecordingMac:
         self.busy_edges = 0
         self.idle_edges = 0
         self.tx_done = []
+        self.events = []
 
     def on_receive(self, frame, rss_dbm):
         self.received.append((frame, rss_dbm))
+        self.events.append(("rx", frame.src))
 
     def on_receive_failed(self, frame, rss_dbm):
         self.failed.append((frame, rss_dbm))
+        self.events.append(("fail", frame.src))
 
     def on_trigger(self, frame, sinr_db, rss_dbm, overlapping):
         self.triggers.append((frame, sinr_db, overlapping))
+        self.events.append(("trigger", frame.src, sinr_db))
 
     def on_queue_report(self, frame, rss_dbm):
         self.reports.append((frame, rss_dbm))
+        self.events.append(("report", frame.src))
 
     def on_channel_busy(self):
         self.busy_edges += 1
+        self.events.append(("busy",))
 
     def on_channel_idle(self):
         self.idle_edges += 1
+        self.events.append(("idle",))
 
     def on_tx_end(self, frame):
         self.tx_done.append(frame)
+        self.events.append(("tx_end", frame.src))
 
 
 def build(rss_pairs, n_nodes=3, profile=DOT11G):
@@ -309,3 +318,182 @@ def test_edge_skips_match_brute_force_oracle(case):
     assert ([(sinr, count) for _, sinr, count in mac.triggers]
             == [expected[index[rec.tx.uid]] for rec in delivered
                 if rec.n_signatures])
+
+
+# ----------------------------------------------------------------------
+# Carrier sense only re-sums the incoming power where the verdict can
+# flip (idle at a start edge, busy from energy at an end edge).  That
+# skip must be invisible: check the ordered MAC callback stream, the
+# receive/fail split and preamble-capture outcomes against a model
+# that re-sums at every edge.
+# ----------------------------------------------------------------------
+# Powers around the CS threshold (-82 dBm) and sensitivity (-88 dBm),
+# 10 dB apart for the capture margin, plus free draws.
+_edge_rss_dbm = st.one_of(
+    st.sampled_from([-40.0, -50.0, -60.0, -70.0, -80.0, -82.0, -85.0,
+                     -88.0, -89.0, -92.0]),
+    st.floats(min_value=-95.0, max_value=-40.0))
+_radio_frames = st.lists(
+    st.tuples(st.sampled_from([FrameKind.DATA, FrameKind.TRIGGER,
+                               FrameKind.QUEUE_REPORT]),
+              _edge_rss_dbm),
+    min_size=1, max_size=6)
+# Gaps straddle the 20 us preamble; the radio's own frame lasts 52 us.
+_gap_us = st.sampled_from([0.0, 3.0, 20.0, 25.0, 60.0, 150.0])
+
+
+@st.composite
+def _radio_scripts(draw):
+    """A list of ``(gap_us, token)``: a frame index (first occurrence
+    starts its energy, second ends it), ``"tx"`` (the radio transmits
+    if idle) or ``("sleep", us)``."""
+    frames = draw(_radio_frames)
+    tokens = [i for i in range(len(frames)) for _ in range(2)]
+    tokens += ["tx"] * draw(st.integers(min_value=0, max_value=2))
+    tokens += [("sleep", draw(st.sampled_from([5.0, 50.0, 400.0])))
+               for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    order = draw(st.permutations(tokens))
+    return frames, [(draw(_gap_us), token) for token in order]
+
+
+class _BruteForceRadio:
+    """The radio's rules with every carrier-sense verdict and every
+    interference maximum recomputed by ``sum()`` at every edge."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.cs_mw = dbm_to_mw(profile.cs_threshold_dbm)
+        self.noise_mw = profile.noise_mw()
+        self.capture = dbm_to_mw(profile.capture_margin_db)
+        self.present = {}   # index -> dict, in arrival order
+        self.lock = None
+        self.own_end = None
+        self.sleep_until = 0.0
+        self.busy = False
+        self.events = []
+
+    def _edge(self):
+        total = sum(f["mw"] for f in self.present.values())
+        for f in self.present.values():
+            f["worst"] = max(f["worst"], total - f["mw"])
+        busy = self.own_end is not None or total >= self.cs_mw
+        if busy != self.busy:
+            self.busy = busy
+            self.events.append(("busy",) if busy else ("idle",))
+
+    def start(self, i, frame, rss_dbm, now):
+        mw = dbm_to_mw(rss_dbm)
+        f = {"frame": frame, "mw": mw, "start": now, "worst": -1.0,
+             "lost": self.own_end is not None or now < self.sleep_until}
+        self.present[i] = f
+        if (frame.kind is FrameKind.DATA and not f["lost"]
+                and rss_dbm >= self.profile.sensitivity_dbm):
+            locked = self.present.get(self.lock)
+            if locked is None:
+                self.lock = i
+            elif (now - locked["start"] <= self.profile.preamble_us
+                  and mw >= locked["mw"] * self.capture):
+                locked["lost"] = True
+                self.lock = i
+        self._edge()
+
+    def end(self, i):
+        f = self.present.pop(i)
+        self._edge()
+        frame = f["frame"]
+        sinr = mw_to_dbm(f["mw"]) - mw_to_dbm(f["worst"] + self.noise_mw)
+        if frame.kind is FrameKind.TRIGGER:
+            if not f["lost"]:
+                self.events.append(("trigger", frame.src, sinr))
+        elif frame.kind is FrameKind.QUEUE_REPORT:
+            if not f["lost"]:
+                self.events.append(("report", frame.src))
+        elif self.lock == i:
+            self.lock = None
+            ok = (not f["lost"] and sinr
+                  >= self.profile.frame_sinr_threshold_db(frame))
+            self.events.append(("rx" if ok else "fail", frame.src))
+
+    def transmit(self, airtime_us, now):
+        self.lock = None
+        for f in self.present.values():
+            f["lost"] = True
+        self.own_end = now + airtime_us
+        self._edge()
+
+    def own_tx_end(self):
+        self.own_end = None
+        self._edge()
+        self.events.append(("tx_end", 0))
+
+    def sleep(self, wake, now):
+        if self.own_end is not None:
+            return 0.0
+        previous = max(self.sleep_until, now)
+        if wake <= previous:
+            return 0.0
+        self.sleep_until = wake
+        if self.lock is not None:
+            self.present[self.lock]["lost"] = True
+            self.lock = None
+        return wake - previous
+
+
+def _energy_frame(kind, i):
+    src = i + 1
+    if kind is FrameKind.TRIGGER:
+        return Frame(kind=kind, src=src, dst=None,
+                     meta={"targets": frozenset({0}), "slot": 0})
+    if kind is FrameKind.QUEUE_REPORT:
+        return Frame(kind=kind, src=src, dst=0,
+                     meta={"queue_len": 1, "subchannel": 0})
+    return data_frame(src, 0, 512, i, 0.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_radio_scripts())
+def test_carrier_sense_and_lock_match_brute_force_model(case):
+    frames, script = case
+    sim = Simulator(seed=1)
+    medium = Medium(sim, DOT11G, lambda tx, rx: -200.0)
+    radio = Radio(0, medium)
+    mac = RecordingMac()
+    radio.mac = mac
+    model = _BruteForceRadio(DOT11G)
+    txs = {}
+    sent = 0
+    for gap, token in script:
+        now = sim.now + gap
+        if model.own_end is not None and model.own_end <= now:
+            model.own_tx_end()  # the engine runs it before the token
+        sim.run(until=now)
+        if token == "tx":
+            if model.own_end is None:
+                own = data_frame(0, 9, 20, sent, 0.0)
+                sent += 1
+                radio.transmit(own)
+                model.transmit(DOT11G.frame_airtime_us(own), now)
+        elif isinstance(token, tuple):
+            assert (radio.sleep_until(now + token[1])
+                    == model.sleep(now + token[1], now))
+        else:
+            kind, rss_dbm = frames[token]
+            if token in txs:
+                radio.on_energy_end(txs.pop(token), rss_dbm,
+                                    dbm_to_mw(rss_dbm))
+                model.end(token)
+            else:
+                frame = _energy_frame(kind, token)
+                txs[token] = Transmission(frame=frame, src=frame.src,
+                                          start=now, end=now + 1.0,
+                                          tx_power_dbm=15.0)
+                radio.on_energy_start(txs[token], rss_dbm,
+                                      dbm_to_mw(rss_dbm))
+                model.start(token, frame, rss_dbm, now)
+        assert mac.events == model.events
+        assert radio.channel_busy() == model.busy
+    sim.run(until=sim.now + 1_000.0)
+    if model.own_end is not None:
+        model.own_tx_end()
+    assert mac.events == model.events
+    assert not radio.channel_busy()
