@@ -24,7 +24,7 @@ import argparse
 from repro import telemetry
 from repro.core import build_domino_network
 from repro.core.converter import ScheduleConverter
-from repro.metrics.stats import FlowRecorder
+from repro.experiments.common import slot_timeline
 from repro.sched.rand_scheduler import RandScheduler
 from repro.sim.engine import Simulator
 from repro.topology.builder import build_t_topology, fig7_topology
@@ -100,18 +100,23 @@ def show_conversion():
 
 def show_execution():
     topology = fig7_topology(uplinks=True)
-    sim = Simulator(seed=5)
-    net = build_domino_network(sim, topology)
-    recorder = FlowRecorder(topology.flows)
-    recorder.attach_all(net.macs.values())
-    for flow in topology.flows:
-        SaturatedSource(sim, net.macs[flow.src], flow.dst).start()
-    net.controller.start()
-    sim.run(until=60_000.0)
+    # The slot timeline is read back from the run's trace: every
+    # slot_exec / rop_poll record is one transmission start.
+    trace = telemetry.activate()
+    try:
+        sim = Simulator(seed=5)
+        net = build_domino_network(sim, topology)
+        for flow in topology.flows:
+            SaturatedSource(sim, net.macs[flow.src], flow.dst).start()
+        net.controller.start()
+        sim.run(until=60_000.0)
+    finally:
+        telemetry.deactivate()
+    timeline = slot_timeline(trace)
 
     print("\nexecution timeline (D=data, f=fake, P=poll):\n")
-    print(net.timeline.render(0, 12, names=NAMES))
-    table = net.timeline.misalignment_by_slot()
+    print(timeline.render(0, 12, names=NAMES))
+    table = timeline.misalignment_by_slot()
     shown = [f"{table.get(i, 0.0):.1f}" for i in range(8)]
     print(f"\nmax misalignment per slot (us): {' '.join(shown)}")
     print("(wired jitter desynchronizes slot 0; triggers and the ROP "

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..metrics.timeline import TimelineRecorder
 from ..topology.interference_map import InterferenceMap
 from ..sched.rand_scheduler import RandScheduler
 from ..sim.engine import Event, Simulator
@@ -506,7 +505,6 @@ class DominoNetwork:
     macs: Dict[int, DominoMac]
     controller: DominoController
     wire: WiredBackbone
-    timeline: TimelineRecorder
 
 
 def build_domino_network(sim: Simulator, topology: Topology,
@@ -519,18 +517,16 @@ def build_domino_network(sim: Simulator, topology: Topology,
     """Assemble a complete DOMINO deployment over ``topology``.
 
     Creates the medium, one :class:`DominoMac` per node, the wired
-    backbone, the controller, ROP subchannel plans and the timeline
-    recorder.  Call ``controller.start()`` (after attaching traffic)
+    backbone, the controller and the ROP subchannel plans.  Call ``controller.start()`` (after attaching traffic)
     to begin.
     """
     medium = topology.build_medium(sim)
-    timeline = TimelineRecorder()
     model = trigger_model if trigger_model is not None \
         else TriggerDetectionModel()
     macs: Dict[int, DominoMac] = {}
     for node in topology.network:
         macs[node.node_id] = DominoMac(
-            sim, node, medium, trigger_model=model, timeline=timeline,
+            sim, node, medium, trigger_model=model,
             payload_bytes=payload_bytes, queue_capacity=queue_capacity,
         )
     wire = WiredBackbone(sim, mean_us=wire_mean_us, std_us=wire_std_us)
@@ -550,4 +546,4 @@ def build_domino_network(sim: Simulator, topology: Topology,
                 macs[client].my_subchannel = subchannel
                 macs[client].my_poll_set = set_index
     return DominoNetwork(sim=sim, medium=medium, macs=macs,
-                         controller=controller, wire=wire, timeline=timeline)
+                         controller=controller, wire=wire)

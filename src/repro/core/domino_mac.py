@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..mac.base import Mac
-from ..metrics.timeline import TimelineRecorder
 from ..telemetry import ORIGIN_META_KEY, TX_META_KEY
 from ..sim.engine import Event, Simulator
 from ..sim.medium import Medium
@@ -121,14 +120,12 @@ class DominoMac(Mac):
 
     def __init__(self, sim: Simulator, node: Node, medium: Medium,
                  trigger_model: Optional[TriggerDetectionModel] = None,
-                 timeline: Optional[TimelineRecorder] = None,
                  payload_bytes: int = 512,
                  queue_capacity: int = 100,
                  seed: Optional[int] = None):
         super().__init__(sim, node, medium, queue_capacity)
         self.trigger_model = (trigger_model if trigger_model is not None
                               else TriggerDetectionModel())
-        self.timeline = timeline
         self.timing = SlotTiming.from_profile(self.profile, payload_bytes)
         self.stats = DominoStats()
         self._rng = random.Random(
@@ -448,23 +445,20 @@ class DominoMac(Mac):
             frame = queue.pop()
             frame.meta["slot"] = slot
             self.stats.data_tx += 1
-            kind = "data"
+            fake = False
         else:
             frame = fake_frame(self.node.node_id, entry.link.dst, slot)
             self.stats.fake_tx += 1
-            kind = "fake"
+            fake = True
         if self._cfp_end is not None and self._cfp_end > self.sim.now:
             # Coexistence: reserve the medium to the end of the CFP so
             # standard-compliant external nodes defer (Sec. 5, Fig. 15).
             frame.meta["nav_until"] = self._cfp_end
-        if self.timeline is not None:
-            self.timeline.record(slot, entry.link, self.sim.now,
-                                 fake=(kind == "fake"), kind=kind)
         exec_id = None
         if self._trace.enabled:
             exec_id = self._trace.slot_exec(self.sim.now, self.node.node_id,
                                             slot, entry.link.dst,
-                                            kind == "fake", cause, via)
+                                            fake, cause, via)
             frame.meta[ORIGIN_META_KEY] = exec_id
         self._announce_batch_start(slot, exec_id)
         self.radio.transmit(frame)
@@ -648,11 +642,6 @@ class DominoMac(Mac):
         poll = Frame(kind=FrameKind.POLL, src=self.node.node_id, dst=None,
                      meta={"ap": self.node.node_id, "slot": slot,
                            "poll_set": poll_set})
-        if self.timeline is not None:
-            from ..topology.links import Link
-            self.timeline.record(slot, Link(self.node.node_id,
-                                            self.node.node_id),
-                                 self.sim.now, kind="poll")
         if self._trace.enabled:
             poll.meta[ORIGIN_META_KEY] = self._trace.rop_poll(
                 self.sim.now, self.node.node_id, slot, poll_set, cause)

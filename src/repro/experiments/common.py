@@ -25,6 +25,7 @@ from ..mac.centaur import build_centaur_network
 from ..mac.dcf import DcfMac
 from ..mac.omniscient import build_omniscient_network
 from ..metrics.stats import FlowRecorder
+from ..metrics.timeline import TimelineRecorder
 from ..sim.engine import Simulator
 from ..topology.builder import Topology
 from ..topology.links import Link
@@ -51,9 +52,6 @@ class RunResult:
     tcp_flows: List[TcpFlow] = field(default_factory=list)
     #: Telemetry recorder for the run (None unless ``trace`` was given).
     trace: Optional[telemetry.TraceRecorder] = None
-    #: Per-callback-site engine profile (None unless ``profile=True``):
-    #: ``{site: {"calls", "cum_s"}}``, most expensive site first.
-    profile: Optional[Dict[str, Dict[str, float]]] = None
 
     @property
     def metrics(self) -> Optional[telemetry.MetricsRegistry]:
@@ -115,8 +113,8 @@ def run_scheme(scheme: str, topology: Topology, *,
                domino_config: Optional[ControllerConfig] = None,
                trigger_model: Optional[TriggerDetectionModel] = None,
                queue_capacity: int = 100,
-               trace: Union[bool, telemetry.TraceRecorder, None] = None,
-               profile: bool = False) -> RunResult:
+               trace: Union[bool, telemetry.TraceRecorder, None] = None
+               ) -> RunResult:
     """Run one scheme on one topology with the Sec. 4.2.1 traffic setup.
 
     ``saturated=True`` keeps every flow's queue full (Fig. 2 /
@@ -130,10 +128,6 @@ def run_scheme(scheme: str, topology: Topology, *,
     for the whole build + run and is returned on ``RunResult.trace``;
     export with ``result.trace.export_jsonl(path)``.  The default
     (``None``/``False``) keeps the zero-cost disabled path.
-
-    ``profile=True`` additionally times every event-loop callback site
-    (``RunResult.profile``; also surfaced as ``engine.site.*`` gauges
-    when tracing).  Adds two clock reads per event — opt-in only.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
@@ -151,7 +145,7 @@ def run_scheme(scheme: str, topology: Topology, *,
             saturated=saturated, tcp=tcp, payload_bytes=payload_bytes,
             seed=seed, domino_config=domino_config,
             trigger_model=trigger_model, queue_capacity=queue_capacity,
-            recorder=recorder, profile=profile)
+            recorder=recorder)
     finally:
         if recorder is not None:
             telemetry.deactivate()
@@ -164,9 +158,8 @@ def _run_scheme(scheme: str, topology: Topology, *,
                 seed: int, domino_config: Optional[ControllerConfig],
                 trigger_model: Optional[TriggerDetectionModel],
                 queue_capacity: int,
-                recorder: Optional[telemetry.TraceRecorder],
-                profile: bool = False) -> RunResult:
-    sim = Simulator(seed=seed, profile=profile)
+                recorder: Optional[telemetry.TraceRecorder]) -> RunResult:
+    sim = Simulator(seed=seed)
     controller = None
     domino = None
     if scheme == "dcf":
@@ -226,8 +219,21 @@ def _run_scheme(scheme: str, topology: Topology, *,
     return RunResult(scheme=scheme, topology=topology,
                      horizon_us=horizon_us, recorder=flow_recorder, macs=macs,
                      controller=controller, domino=domino,
-                     tcp_flows=tcp_flows, trace=recorder,
-                     profile=sim.profile_snapshot() if profile else None)
+                     tcp_flows=tcp_flows, trace=recorder)
+
+
+def slot_timeline(trace: telemetry.TraceRecorder) -> TimelineRecorder:
+    """The slot timeline (Fig. 10 / Fig. 11) of a traced DOMINO run.
+
+    Refuses a truncated trace: the ring evicts the oldest records
+    first, and the figures read exactly the earliest slots.
+    """
+    if trace.evicted:
+        raise ValueError(
+            f"trace ring evicted {trace.evicted} of {trace.emitted} "
+            "records; the slot timeline would be partial (raise the "
+            "TraceRecorder capacity or shorten the horizon)")
+    return TimelineRecorder.from_trace(trace.records())
 
 
 def format_table(headers: Sequence[str],

@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import telemetry
 from ..core import build_domino_network
 from ..metrics.timeline import TimelineRecorder
 from ..sim.engine import Simulator
 from ..topology.builder import fig7_topology
 from ..traffic.udp import SaturatedSource
+from .common import slot_timeline
 
 NODE_NAMES = {0: "AP1", 1: "C1", 2: "AP2", 3: "C2",
               4: "AP3", 5: "C3", 6: "AP4", 7: "C4"}
@@ -50,16 +52,21 @@ def run(horizon_us: float = 200_000.0, seed: int = 5) -> Fig10Result:
     from ..metrics.stats import FlowRecorder
 
     topology = fig7_topology(uplinks=True)
-    sim = Simulator(seed=seed)
-    net = build_domino_network(sim, topology)
-    recorder = FlowRecorder(topology.flows)
-    recorder.attach_all(net.macs.values())
-    for flow in topology.flows:
-        SaturatedSource(sim, net.macs[flow.src], flow.dst).start()
-    net.controller.start()
-    sim.run(until=horizon_us)
+    trace = telemetry.activate()
+    try:
+        sim = Simulator(seed=seed)
+        net = build_domino_network(sim, topology)
+        recorder = FlowRecorder(topology.flows)
+        recorder.attach_all(net.macs.values())
+        for flow in topology.flows:
+            SaturatedSource(sim, net.macs[flow.src], flow.dst).start()
+        net.controller.start()
+        sim.run(until=horizon_us)
+    finally:
+        telemetry.deactivate()
 
-    misalignment = net.timeline.misalignment_by_slot()
+    timeline = slot_timeline(trace)
+    misalignment = timeline.misalignment_by_slot()
     slots = sorted(misalignment)
     initial = max((misalignment[s] for s in slots[:2]), default=0.0)
     settled = max((misalignment[s] for s in slots[6:]), default=0.0)
@@ -71,13 +78,13 @@ def run(horizon_us: float = 200_000.0, seed: int = 5) -> Fig10Result:
         if entry.fake
     )
     return Fig10Result(
-        timeline=net.timeline,
+        timeline,
         aggregate_mbps=recorder.aggregate_throughput_mbps(horizon_us),
         initial_misalignment_us=initial,
         settled_misalignment_us=settled,
-        fake_transmissions=net.timeline.count("fake"),
+        fake_transmissions=timeline.count("fake"),
         fake_entries_scheduled=fake_entries,
-        poll_transmissions=net.timeline.count("poll"),
+        poll_transmissions=timeline.count("poll"),
         trigger_detections=sum(m.stats.triggers_detected
                                for m in net.macs.values()),
     )

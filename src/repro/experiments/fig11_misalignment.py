@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from .. import telemetry
 from ..core import build_domino_network
 from ..sim.engine import Simulator
 from ..topology.builder import build_t_topology
 from ..topology.trace import two_building_trace
 from ..traffic.udp import SaturatedSource
-from .common import format_table
+from .common import format_table, slot_timeline
 
 VARIANCES_US2 = (20.0, 40.0, 60.0, 80.0)
 N_SLOTS = 8
@@ -38,13 +39,17 @@ class Fig11Result:
         return bool(tail) and all(v <= tolerance_us for v in tail)
 
 
-def run(seed: int = 2, horizon_us: float = 40_000.0) -> Fig11Result:
-    """Measure max misalignment per slot index over the startup window."""
-    result = Fig11Result()
-    for variance in VARIANCES_US2:
-        trace = two_building_trace()
-        topology = build_t_topology(trace, 10, 2, seed=3)
-        imap = topology.interference_map()
+def run_variance(variance: float, trace: telemetry.TraceRecorder, *,
+                 seed: int, horizon_us: float) -> List[float]:
+    """Misalignment per slot index for one wired-latency variance.
+
+    ``trace`` records the run; the series is read from its
+    ``slot_exec`` records, so the ring must hold the whole run.
+    """
+    topology = build_t_topology(two_building_trace(), 10, 2, seed=3)
+    imap = topology.interference_map()
+    telemetry.activate(trace)
+    try:
         sim = Simulator(seed=seed)
         net = build_domino_network(sim, topology,
                                    wire_std_us=math.sqrt(variance))
@@ -52,12 +57,23 @@ def run(seed: int = 2, horizon_us: float = 40_000.0) -> Fig11Result:
             SaturatedSource(sim, net.macs[flow.src], flow.dst).start()
         net.controller.start()
         sim.run(until=horizon_us)
-        # Spread among mutually carrier-sensing senders: chains in
-        # disjoint collision domains can hold a constant offset
-        # without ever interacting, which is not misalignment in any
-        # physically meaningful (or harmful) sense.
-        result.series[variance] = net.timeline.misalignment_series(
-            N_SLOTS, audible=imap.in_cs_range)
+    finally:
+        telemetry.deactivate()
+    # Spread among mutually carrier-sensing senders: chains in
+    # disjoint collision domains can hold a constant offset without
+    # ever interacting, which is not misalignment in any physically
+    # meaningful (or harmful) sense.
+    return slot_timeline(trace).misalignment_series(
+        N_SLOTS, audible=imap.in_cs_range)
+
+
+def run(seed: int = 2, horizon_us: float = 40_000.0) -> Fig11Result:
+    """Measure max misalignment per slot index over the startup window."""
+    result = Fig11Result()
+    for variance in VARIANCES_US2:
+        result.series[variance] = run_variance(
+            variance, telemetry.TraceRecorder(), seed=seed,
+            horizon_us=horizon_us)
     return result
 
 

@@ -1,20 +1,22 @@
-"""Slot-level transmission timeline (Fig. 10 / Fig. 11 instrumentation).
+"""Slot-level transmission timeline (Fig. 10 / Fig. 11 analysis).
 
-Records every DOMINO transmission with its global slot index so the
-two timing results can be derived:
+The timeline is rebuilt from a canonical trace
+(:meth:`TimelineRecorder.from_trace`): every DOMINO transmission start
+with its global slot index, so the two timing results can be derived:
 
 * **misalignment per slot** (Fig. 11): the spread of start times of
   the transmissions sharing a slot — the paper shows initial wired-
   jitter misalignment of 10-20 us shrinking to 1-2 us within 4 slots;
 * **the microscope view** (Fig. 10): an ASCII rendering of which link
   was active in which slot, which transmissions were fake, and where
-  triggers fired.
+  the polls fell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from ..topology.links import Link
 
@@ -29,8 +31,7 @@ class SlotEvent:
     link: Link
     start_us: float
     fake: bool = False
-    kind: str = "data"          # data | fake | poll | trigger
-    note: str = ""
+    kind: str = "data"          # data | fake | poll
 
 
 class TimelineRecorder:
@@ -39,20 +40,37 @@ class TimelineRecorder:
     def __init__(self) -> None:
         self.events: List[SlotEvent] = []
 
+    @classmethod
+    def from_trace(
+            cls, records: Iterable[Mapping[str, Any]]) -> "TimelineRecorder":
+        """The slot timeline of a traced DOMINO run.
+
+        Each ``slot_exec`` record is a data or fake transmission on
+        ``node -> dst``; each ``rop_poll`` record is a poll, kept on
+        the AP's self-link.  Both are emitted at the instant the frame
+        goes on the air, so ``t`` is the transmission start.
+        """
+        timeline = cls()
+        for record in records:
+            kind = record["ev"]
+            if kind == "slot_exec":
+                fake = record["fake"]
+                timeline.record(record["slot"],
+                                Link(record["node"], record["dst"]),
+                                record["t"], fake, "fake" if fake else "data")
+            elif kind == "rop_poll":
+                node = record["node"]
+                timeline.record(record["slot"], Link(node, node),
+                                record["t"], kind="poll")
+        return timeline
+
     def record(self, slot: int, link: Link, start_us: float,
-               fake: bool = False, kind: str = "data", note: str = "") -> None:
-        self.events.append(SlotEvent(slot, link, start_us, fake, kind, note))
+               fake: bool = False, kind: str = "data") -> None:
+        self.events.append(SlotEvent(slot, link, start_us, fake, kind))
 
     # ------------------------------------------------------------------
     # Fig. 11: misalignment
     # ------------------------------------------------------------------
-    def starts_by_slot(self, kind: str = "data") -> Dict[int, List[float]]:
-        by_slot: Dict[int, List[float]] = {}
-        for event in self.events:
-            if kind in (event.kind, "any"):
-                by_slot.setdefault(event.slot, []).append(event.start_us)
-        return by_slot
-
     def misalignment_by_slot(
             self, audible: Optional[AudibleFn] = None) -> Dict[int, float]:
         """Max spread (us) of transmission starts within each slot.
@@ -96,17 +114,6 @@ class TimelineRecorder:
         """Misalignment for slots 0..n_slots-1 (0 where undefined)."""
         table = self.misalignment_by_slot(audible=audible)
         return [table.get(i, 0.0) for i in range(n_slots)]
-
-    def convergence_slot(self, tolerance_us: float = 2.0) -> Optional[int]:
-        """First slot from which misalignment stays within tolerance."""
-        table = self.misalignment_by_slot()
-        if not table:
-            return None
-        slots = sorted(table)
-        for start in slots:
-            if all(table[s] <= tolerance_us for s in slots if s >= start):
-                return start
-        return None
 
     # ------------------------------------------------------------------
     # Fig. 10: microscope rendering

@@ -64,11 +64,6 @@ class ExperimentPoint:
     horizon_us: float = 1_000_000.0
     warmup_us: float = 100_000.0
     run_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: Opt into wall-clock phase timing: the worker splits its wall
-    #: time into build/run/reduce and reports it on
-    #: :attr:`PointResult.phases`.  Timing only — results stay
-    #: byte-identical with it on or off.
-    phase_timing: bool = False
 
 
 @dataclass
@@ -137,10 +132,6 @@ class PointResult:
     causality: Optional[dict] = None
     #: Raw trace records (``keep_traces=True`` sweeps only — large).
     trace_records: Optional[List[dict]] = None
-    #: Wall-clock phase split in ms (``build_ms`` / ``run_ms`` /
-    #: ``reduce_ms``), present when the point opted into
-    #: :attr:`ExperimentPoint.phase_timing`.
-    phases: Optional[Dict[str, float]] = None
 
     def flow_mbps(self, flow: Any) -> float:
         key = (flow.src, flow.dst) if hasattr(flow, "src") else tuple(flow)
@@ -179,7 +170,6 @@ class PointResult:
             "metrics": self.metrics,
             "doctor_findings": self.doctor_findings,
             "causality": self.causality,
-            "phases": self.phases,
         }
 
     @classmethod
@@ -198,8 +188,7 @@ class PointResult:
             trace_digest=data.get("trace_digest"),
             metrics=data.get("metrics"),
             doctor_findings=data.get("doctor_findings"),
-            causality=data.get("causality"),
-            phases=data.get("phases"))
+            causality=data.get("causality"))
 
 
 @dataclass

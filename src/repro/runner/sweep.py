@@ -118,23 +118,13 @@ def run_point(point: ExperimentPoint, trace: bool = False,
     from ..experiments.common import run_scheme
 
     started = time.perf_counter()
-    topology = point.topology.build()
-    built = time.perf_counter()
     result = run_scheme(
-        point.scheme, topology,
+        point.scheme, point.topology.build(),
         horizon_us=point.horizon_us, warmup_us=point.warmup_us,
         seed=point.seed, trace=True if trace else None,
         **point.run_kwargs)
-    ran = time.perf_counter()
-    reduced = _reduce(point, result, time.perf_counter() - started,
-                      keep_trace, diagnose)
-    if point.phase_timing:
-        reduced.phases = {
-            "build_ms": (built - started) * 1_000.0,
-            "run_ms": (ran - built) * 1_000.0,
-            "reduce_ms": (time.perf_counter() - ran) * 1_000.0,
-        }
-    return reduced
+    return _reduce(point, result, time.perf_counter() - started,
+                   keep_trace, diagnose)
 
 
 # -- heartbeat plumbing (parallel path) ----------------------------------

@@ -31,7 +31,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..telemetry import MetricsRegistry, wallclock
+from ..telemetry import wallclock
 
 
 class Event:
@@ -104,7 +104,7 @@ class Simulator:
     ['b', 'a']
     """
 
-    def __init__(self, seed: int = 0, profile: bool = False):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
         # Heap entries are (time, seq, event) triples, not bare events:
@@ -121,11 +121,6 @@ class Simulator:
         # Telemetry session bound at construction (the no-op recorder
         # when disabled); run() reports event-loop throughput to it.
         self._telemetry = telemetry.current()
-        # Opt-in hot-path attribution: per-callback-site call counts
-        # and cumulative wall time (see profile_snapshot()).  Off by
-        # default — the plain run loop stays timing-free.
-        self.profile_enabled = bool(profile)
-        self._profile_sites: Dict[str, List[float]] = {}
         # Named per-simulation serial counters (see serial()).
         self._serials: Dict[str, int] = {}
 
@@ -185,10 +180,7 @@ class Simulator:
         # only, so the exported trace stays deterministic per seed.
         wall_start = wallclock.perf_counter() if tel.enabled else 0.0
         try:
-            if self.profile_enabled:
-                self._drain_profiled(until)
-            else:
-                self._drain(until)
+            self._drain(until)
             self.now = max(self.now, until)
         finally:
             self._running = False
@@ -204,11 +196,9 @@ class Simulator:
                 if elapsed > 0.0 and processed:
                     metrics.histogram("engine.events_per_sec").observe(
                         processed / elapsed)
-                if self.profile_enabled:
-                    self._publish_profile(metrics)
 
     def _drain(self, until: float) -> None:
-        """The plain event loop (no per-callback timing)."""
+        """The event loop: pop and fire events up to ``until``."""
         heap = self._heap
         heappop = heapq.heappop
         live = self._live
@@ -227,57 +217,6 @@ class Simulator:
                 event.fn(*event.args)
         finally:
             self._events_processed += processed
-
-    def _drain_profiled(self, until: float) -> None:
-        """The event loop with per-callback-site attribution.
-
-        Same semantics as :meth:`_drain` plus two ``perf_counter``
-        reads per event; kept as a separate loop so the default path
-        pays nothing for the feature.
-        """
-        sites = self._profile_sites
-        clock = wallclock.perf_counter
-        while self._heap:
-            time = self._heap[0][0]
-            if time > until:
-                break
-            event = heapq.heappop(self._heap)[2]
-            if event.cancelled:
-                continue
-            self._live[0] -= 1
-            self.now = time
-            self._events_processed += 1
-            fn = event.fn
-            t0 = clock()
-            fn(*event.args)
-            dt = clock() - t0
-            key = getattr(fn, "__qualname__", None) or repr(fn)
-            entry = sites.get(key)
-            if entry is None:
-                entry = sites[key] = [0, 0.0]
-            entry[0] += 1
-            entry[1] += dt
-
-    def _publish_profile(self, metrics: MetricsRegistry) -> None:
-        """Surface the per-site totals through the metrics registry.
-
-        Gauges (last-write-wins, set to the running totals) so calling
-        ``run()`` several times never double-counts.
-        """
-        for name, (calls, cum_s) in self._profile_sites.items():
-            metrics.gauge(f"engine.site.{name}.calls").set(calls)
-            metrics.gauge(f"engine.site.{name}.cum_s").set(cum_s)
-
-    def profile_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-callback-site totals, most expensive first.
-
-        ``{site: {"calls": n, "cum_s": seconds}}``; empty unless the
-        simulator was built with ``profile=True`` and has run.
-        """
-        ordered = sorted(self._profile_sites.items(),
-                         key=lambda item: item[1][1], reverse=True)
-        return {name: {"calls": float(calls), "cum_s": cum_s}
-                for name, (calls, cum_s) in ordered}
 
     def step(self) -> bool:
         """Process exactly one pending (non-cancelled) event.

@@ -4,8 +4,8 @@ Sim-logic layers must not import :mod:`time` (dominolint DOM101): a
 wall-clock value that leaks into simulation state or a trace breaks
 the byte-identical-per-seed contract everything downstream (conversion
 caching, parallel sweeps, causal spans) depends on.  But the engine
-still *measures* itself — event-loop throughput, per-callback-site
-profiling — and those numbers are genuinely wall-clock quantities.
+still *measures* its event-loop throughput, and that number is
+genuinely a wall-clock quantity.
 
 This module is the one sanctioned route: timing lives in telemetry,
 the layer that owns observability, and sim code reaches it through the

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import telemetry
 from repro.core import (ControllerConfig, PerfectTriggerModel,
                         build_domino_network)
+from repro.experiments.common import slot_timeline
 from repro.metrics.stats import FlowRecorder
 from repro.sim.engine import Simulator
 from repro.topology.builder import (fig1_topology, fig7_topology,
@@ -143,8 +145,12 @@ def test_wire_jitter_misalignment_heals():
     """After the first batch's polls have re-anchored every chain,
     slot members stay aligned to within a few microseconds."""
     topology = fig7_topology(uplinks=True)
-    sim, net, recorder = run_domino(topology, seed=5)
-    table = net.timeline.misalignment_by_slot()
+    trace = telemetry.activate()
+    try:
+        run_domino(topology, seed=5)
+    finally:
+        telemetry.deactivate()
+    table = slot_timeline(trace).misalignment_by_slot()
     settled = [v for s, v in sorted(table.items())[20:60]]
     assert settled
     assert max(settled) < 5.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.timeline import TimelineRecorder
+from repro.metrics.timeline import SlotEvent, TimelineRecorder
 from repro.topology.links import Link
 
 
@@ -62,11 +62,25 @@ def test_series_fills_missing_slots():
     assert series[3] == 0.0 and series[4] == 0.0
 
 
-def test_convergence_slot():
-    recorder = make_recorder()
-    assert recorder.convergence_slot(tolerance_us=2.0) == 1
-    assert recorder.convergence_slot(tolerance_us=30.0) == 0
-    assert TimelineRecorder().convergence_slot() is None
+def test_from_trace_reads_slot_exec_and_rop_poll():
+    records = [
+        {"ev": "sched_dispatch", "t": 0.0, "batch": 0, "first_slot": 0,
+         "last_slot": 3, "slots": 4},
+        {"ev": "slot_exec", "t": 100.0, "node": 0, "slot": 0, "dst": 1,
+         "fake": False, "id": 1, "cause": None, "via": "self"},
+        {"ev": "frame_tx", "t": 100.0, "node": 0},
+        {"ev": "slot_exec", "t": 120.0, "node": 2, "slot": 0, "dst": 3,
+         "fake": True, "id": 3, "cause": None, "via": "self"},
+        {"ev": "rop_poll", "t": 600.0, "node": 2, "slot": 1,
+         "poll_set": 0, "id": 4, "cause": 1},
+    ]
+    recorder = TimelineRecorder.from_trace(records)
+    assert recorder.events == [
+        SlotEvent(0, Link(0, 1), 100.0, False, "data"),
+        SlotEvent(0, Link(2, 3), 120.0, True, "fake"),
+        SlotEvent(1, Link(2, 2), 600.0, False, "poll"),
+    ]
+    assert recorder.misalignment_by_slot() == {0: 20.0}
 
 
 def test_render_contains_marks():

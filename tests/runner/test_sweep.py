@@ -133,11 +133,15 @@ class TestRunPoint:
 
 
 class TestPointResultJson:
-    @pytest.mark.parametrize("legacy", [{}, {"engine": "matrix"}],
-                             ids=["current", "legacy_engine_key"])
+    @pytest.mark.parametrize(
+        "legacy",
+        [{}, {"engine": "matrix"},
+         {"phases": {"build_ms": 1.0, "run_ms": 2.0, "reduce_ms": 0.5}}],
+        ids=["current", "legacy_engine_key", "legacy_phases_key"])
     def test_from_json_roundtrips(self, serial_parallel, legacy):
-        # Result files written before the single-engine simulator may
-        # carry an "engine" key; it is ignored, not rejected.
+        # Older result files may carry an "engine" key (written before
+        # the single-engine simulator) or a "phases" key (the removed
+        # build/run/reduce timer); both are ignored, not rejected.
         point = serial_parallel[0].points[0]
         clone = PointResult.from_json({**point.to_json(), **legacy})
         assert clone.to_json() == point.to_json()

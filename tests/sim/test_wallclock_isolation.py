@@ -43,17 +43,3 @@ def test_trace_digest_is_stable_across_runs():
     digest_b = trace_digest(result_b.trace.records())
     assert digest_a == digest_b
 
-
-def test_profiled_event_loop_emits_identical_trace():
-    """``profile=True`` wraps the drain loop in wall-clock timing; the
-    instrumentation must be observationally transparent to the trace."""
-    def run(profile: bool) -> str:
-        result = run_scheme("domino", fig7_topology(uplinks=True),
-                            horizon_us=20_000.0, warmup_us=0.0,
-                            saturated=True, seed=7, trace=True,
-                            profile=profile)
-        stream = io.StringIO()
-        result.trace.write_jsonl(stream)
-        return stream.getvalue()
-
-    assert run(profile=True) == run(profile=False)
