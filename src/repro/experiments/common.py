@@ -233,7 +233,8 @@ def slot_timeline(trace: telemetry.TraceRecorder) -> TimelineRecorder:
             f"trace ring evicted {trace.evicted} of {trace.emitted} "
             "records; the slot timeline would be partial (raise the "
             "TraceRecorder capacity or shorten the horizon)")
-    return TimelineRecorder.from_trace(trace.records())
+    return TimelineRecorder.from_trace(
+        telemetry.TraceView(trace.records()).of("slot_exec", "rop_poll"))
 
 
 def format_table(headers: Sequence[str],

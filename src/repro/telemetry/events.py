@@ -20,7 +20,7 @@ enforces.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Type
 
 #: Bumped whenever a field is added/renamed; written into JSONL
@@ -77,10 +77,6 @@ class TraceEvent:
     t: float
 
     KIND = ""
-
-    def to_record(self) -> dict:
-        record = {"ev": self.KIND, **asdict(self)}
-        return record
 
 
 # ----------------------------------------------------------------------

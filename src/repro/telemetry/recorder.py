@@ -21,9 +21,8 @@ built, nothing is sorted or rounded, the constant parts of a record
 (the ``ev`` strings, the field names) exist exactly once as interned
 module-level constants.  Records are materialized into the canonical
 dict schema of :mod:`~repro.telemetry.events` only when read back
-(``records()`` / ``events()`` / export), which is never inside the
-event loop.  The enabled-path budget is asserted by the same
-overhead benchmark (<20 %).
+(``records()`` / export), which is never inside the event loop.  The
+enabled-path budget is asserted by the same overhead benchmark (<20 %).
 """
 
 from __future__ import annotations
@@ -414,23 +413,6 @@ class TraceRecorder(NullRecorder):
     def _materialized(self) -> Iterator[dict]:
         for raw in self._events:
             yield _materialize(raw)
-
-    def events(self, kind: Optional[str] = None,
-               node: Optional[int] = None,
-               t0: Optional[float] = None,
-               t1: Optional[float] = None) -> Iterator[dict]:
-        """Iterate buffered records, optionally filtered."""
-        for record in self._materialized():
-            if kind is not None and record.get("ev") != kind:
-                continue
-            if node is not None and record.get("node") != node:
-                continue
-            t = record.get("t", 0.0)
-            if t0 is not None and t < t0:
-                continue
-            if t1 is not None and t > t1:
-                continue
-            yield record
 
     def records(self) -> List[dict]:
         return list(self._materialized())

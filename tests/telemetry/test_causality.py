@@ -109,13 +109,9 @@ class TestConservation:
             assert chain.edges[-1].child_id == chain.terminal_id
             assert chain.edges[-1].ev == "slot_exec"
 
-    def test_waits_and_slack_nonnegative(self, healthy_report):
+    def test_waits_nonnegative(self, healthy_report):
         for chain in healthy_report.batches:
             assert all(edge.wait_us >= 0.0 for edge in chain.edges)
-            assert chain.slack_us
-            assert all(s >= 0.0 for s in chain.slack_us.values())
-            # The terminal defines the batch end: zero slack there.
-            assert chain.slack_us[chain.terminal_id] == pytest.approx(0.0)
 
     def test_link_rollup_matches_edge_sum(self, healthy_report):
         total_edges = sum(e.wait_us for c in healthy_report.batches

@@ -7,8 +7,8 @@ import pytest
 
 from repro import telemetry
 from repro.sim.packet import Frame, FrameKind
-from repro.telemetry import (NULL, NullRecorder, TraceRecorder, from_record,
-                             jsonl)
+from repro.telemetry import (NULL, NullRecorder, TraceRecorder, TraceView,
+                             filter_records, from_record, jsonl)
 from repro.telemetry.events import SignatureDetect, required_fields
 
 
@@ -176,9 +176,11 @@ class TestTypedHelpers:
         rec.slot_exec(10.0, 1, 0, 2, False)
         rec.slot_exec(20.0, 2, 1, 3, False)
         rec.backup_trigger(30.0, 1, 2, "watchdog")
-        assert len(list(rec.events(kind="slot_exec"))) == 2
-        assert len(list(rec.events(node=1))) == 2
-        assert [r["t"] for r in rec.events(t0=15.0, t1=25.0)] == [20.0]
+        records = rec.records()
+        assert len(list(filter_records(records, kind="slot_exec"))) == 2
+        assert len(list(filter_records(records, node=1))) == 2
+        assert [r["t"] for r in filter_records(records, t0=15.0,
+                                               t1=25.0)] == [20.0]
 
 
 class TestJsonl:
@@ -221,10 +223,18 @@ class TestJsonl:
         event = from_record(records[0])
         assert event.detected is True and event.p is None
 
-    def test_require_header(self):
-        stream = io.StringIO('{"ev":"x","t":0}\n')
-        with pytest.raises(jsonl.TraceFormatError):
-            list(jsonl.read_jsonl(stream, require_header=True))
+    def test_headerless_stream_reads_as_current_schema(self):
+        # e.g. `filter` output piped back into `doctor -`.
+        line = ('{"ev":"slot_exec","t":1.0,"node":1,"slot":0,"dst":2,'
+                '"fake":false,"id":0,"cause":null,"via":"initial"}\n')
+        records = jsonl.load_jsonl(io.StringIO(line))
+        assert TraceView(records).records == records
+        assert from_record(records[0]).via == "initial"
+
+    def test_non_json_line_is_a_format_error(self):
+        stream = io.StringIO('{"__domino_trace__":5}\nnot json\n')
+        with pytest.raises(jsonl.TraceFormatError, match="line 2"):
+            jsonl.load_jsonl(stream)
 
     def test_blank_lines_skipped(self):
         stream = io.StringIO(
