@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from .jsonl import dumps_record, header_record
+from .jsonl import FLIGHT_KEY, dumps_record, header_record
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
 from .recorder import TraceRecorder
 from .wallclock import perf_counter
@@ -273,7 +273,7 @@ class FlightRecorder:
     """
 
     #: Key of the dump's meta record (second line, after the header).
-    META_KEY = "__flight__"
+    META_KEY = FLIGHT_KEY
 
     def __init__(self, recorder: TraceRecorder, dump_dir: str,
                  keep_last: int = 4096):
