@@ -55,8 +55,7 @@ def show_conversion():
             print(f"  {name(a.src)}->{name(a.dst)}  x  "
                   f"{name(b.src)}->{name(b.dst)}")
 
-    scheduler = RandScheduler(graph, universe,
-                              set_check=imap.set_survives)
+    scheduler = RandScheduler(graph, universe, imap=imap)
     strict = scheduler.schedule_batch({l: 2 for l in topology.flows},
                                       max_slots=4)
     print("\nstrict schedule (RAND):")

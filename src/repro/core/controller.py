@@ -96,8 +96,7 @@ class DominoController:
                 universe.append(link)
         self.links = universe
         self.graph = build_conflict_graph(self.imap, universe)
-        self.scheduler = RandScheduler(self.graph, universe,
-                                       set_check=self.imap.set_survives)
+        self.scheduler = RandScheduler(self.graph, universe, imap=self.imap)
         if self.config.energy_constrained:
             # Sleeping clients must not be woken by fake filler.
             self.config.converter.fake_exclude_nodes = frozenset(
@@ -411,8 +410,7 @@ class DominoController:
         self.imap = InterferenceMap(matrix_rss_fn(self.rss_matrix),
                                     self.topology.profile, margin_db=3.0)
         self.graph = build_conflict_graph(self.imap, self.links)
-        self.scheduler = RandScheduler(self.graph, self.links,
-                                       set_check=self.imap.set_survives)
+        self.scheduler = RandScheduler(self.graph, self.links, imap=self.imap)
         self.conversion_cache.set_topology(conversion_topology_key(
             self.rss_matrix, self.links, self.config.converter))
         rebuilt = ScheduleConverter(

@@ -35,6 +35,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional,
 
 import networkx as nx
 
+from ..topology.conflict_graph import greedy_maximal_extension
 from ..topology.interference_map import InterferenceMap
 from ..sched.strict_schedule import StrictSchedule
 from ..topology.links import Link
@@ -333,15 +334,9 @@ class ScheduleConverter:
     def _fake_would_accept(self, cand: Link, chosen: Sequence[Link],
                            excluded: frozenset) -> bool:
         """One candidate's accept test, mirroring :meth:`_insert_fakes`."""
-        if cand in chosen:
-            return False
-        if excluded and (cand.src in excluded or cand.dst in excluded):
-            return False
-        if any(cand.shares_node(link) for link in chosen):
-            return False
-        if any(self.graph.has_edge(cand, link) for link in chosen):
-            return False
-        return self.imap.set_survives([*chosen, cand])
+        extended = greedy_maximal_extension(self.graph, chosen, (cand,),
+                                            self.imap, excluded)
+        return len(extended) > len(chosen)
 
     def convert(self, strict: StrictSchedule,
                 rop_aps: Sequence[int] = (),
@@ -432,23 +427,11 @@ class ScheduleConverter:
         the additive-interference test: several individually tolerable
         interferers can still sum up to break a marginal link.
         """
-        chosen = [e.link for e in entries]
-        out = list(entries)
-        excluded = self.config.fake_exclude_nodes
-        for cand in self.fake_candidates:
-            if cand in chosen:
-                continue
-            if excluded and (cand.src in excluded or cand.dst in excluded):
-                continue
-            if any(cand.shares_node(link) for link in chosen):
-                continue
-            if any(self.graph.has_edge(cand, link) for link in chosen):
-                continue
-            if not self.imap.set_survives([*chosen, cand]):
-                continue
-            out.append(SlotEntry(link=cand, fake=True))
-            chosen.append(cand)
-        return out
+        chosen = greedy_maximal_extension(
+            self.graph, [e.link for e in entries], self.fake_candidates,
+            self.imap, self.config.fake_exclude_nodes)
+        return entries + [SlotEntry(link=link, fake=True)
+                          for link in chosen[len(entries):]]
 
     # ------------------------------------------------------------------
     # 2. Trigger assignment

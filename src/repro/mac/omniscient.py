@@ -74,8 +74,7 @@ class OmniscientCoordinator:
         imap = topology.interference_map()
         self.links = list(topology.flows)
         self.graph: nx.Graph = build_conflict_graph(imap, self.links)
-        self.scheduler = RandScheduler(self.graph, self.links,
-                                       set_check=imap.set_survives)
+        self.scheduler = RandScheduler(self.graph, self.links, imap=imap)
         profile = topology.profile
         from ..sim.packet import MAC_HEADER_BYTES
         data_airtime = profile.bytes_airtime_us(

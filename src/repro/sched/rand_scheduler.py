@@ -12,15 +12,14 @@ Fig. 7(c) / Fig. 10.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import networkx as nx
 
+from ..topology.conflict_graph import greedy_maximal_extension
+from ..topology.interference_map import InterferenceMap
 from ..topology.links import Link
 from .strict_schedule import StrictSchedule
-
-#: Additive-interference test over one slot's worth of links.
-SetCheck = Callable[[Sequence[Link]], bool]
 
 
 class RandScheduler:
@@ -32,17 +31,18 @@ class RandScheduler:
         Link conflict graph; an edge forbids slot sharing.
     links:
         The link universe in initial queue order (deterministic).
+    imap:
+        Optional interference map for the additive test over a whole
+        slot; pairwise compatibility is necessary but not sufficient
+        when several interferers add up at one receiver.
     """
 
     def __init__(self, conflict_graph: "nx.Graph[Link]",
                  links: Sequence[Link],
-                 set_check: Optional[SetCheck] = None):
+                 imap: Optional[InterferenceMap] = None):
         self.graph = conflict_graph
         self._queue: List[Link] = list(links)
-        #: Optional additive-interference test over a whole slot;
-        #: pairwise compatibility is necessary but not sufficient when
-        #: several interferers add up at one receiver.
-        self.set_check = set_check
+        self.imap = imap
         missing = [l for l in self._queue if l not in conflict_graph]
         if missing:
             raise ValueError(f"links missing from conflict graph: {missing}")
@@ -78,16 +78,9 @@ class RandScheduler:
 
     def _build_slot(self, demands: Dict[Link, int]) -> List[Link]:
         """One greedy maximal set of backlogged links, in queue order."""
-        slot: List[Link] = []
-        for link in self._queue:
-            if demands.get(link, 0) <= 0:
-                continue
-            if any(self.graph.has_edge(link, chosen) for chosen in slot):
-                continue
-            if self.set_check is not None and not self.set_check([*slot, link]):
-                continue
-            slot.append(link)
-        return slot
+        backlogged = (link for link in self._queue
+                      if demands.get(link, 0) > 0)
+        return greedy_maximal_extension(self.graph, (), backlogged, self.imap)
 
     def _rotate(self, scheduled: Sequence[Link]) -> None:
         """Move just-scheduled links to the tail of the queue."""

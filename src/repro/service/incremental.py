@@ -96,8 +96,7 @@ class IncrementalController:
         self.imap = InterferenceMap(matrix_rss_fn(state.rss), state.profile,
                                     margin_db=3.0)
         self.graph = build_conflict_graph(self.imap, state.links)
-        self.scheduler = RandScheduler(self.graph, state.links,
-                                       set_check=self.imap.set_survives)
+        self.scheduler = RandScheduler(self.graph, state.links, imap=self.imap)
         self.cache = ConversionCache(self._topology_key())
         self.converter = ScheduleConverter(
             self.imap, self.graph, fake_candidates=list(state.links),
@@ -230,8 +229,7 @@ class IncrementalController:
         imap = InterferenceMap(matrix_rss_fn(state.rss), state.profile,
                                margin_db=3.0)
         graph = build_conflict_graph(imap, state.links)
-        scheduler = RandScheduler(graph, self.scheduler.queue,
-                                  set_check=imap.set_survives)
+        scheduler = RandScheduler(graph, self.scheduler.queue, imap=imap)
         converter = self.converter.fork_preview(
             imap, graph, fake_candidates=list(state.links))
         self.full_recomputes += 1

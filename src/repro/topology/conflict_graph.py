@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, AbstractSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 import networkx as nx
 
@@ -106,22 +107,43 @@ def is_independent_set(graph: nx.Graph, links: Iterable[Link]) -> bool:
 
 
 def greedy_maximal_extension(graph: nx.Graph, base: Sequence[Link],
-                             candidates: Sequence[Link]) -> List[Link]:
-    """Extend ``base`` to a maximal independent set using ``candidates``.
+                             candidates: Iterable[Link],
+                             imap: Optional["InterferenceMap"] = None,
+                             blocked_nodes: AbstractSet[int] = frozenset()
+                             ) -> List[Link]:
+    """Extend ``base`` to a maximal legal slot using ``candidates``.
 
     Candidates are tried in the given (deterministic) order; each is
-    added when it conflicts with nothing already chosen.  This is the
-    primitive behind both the RAND scheduler's slot construction and
-    the converter's fake-link insertion (Sec. 3.3).
+    added when it shares no node with the slot, touches none of
+    ``blocked_nodes``, is adjacent to no chosen link in ``graph`` and,
+    given ``imap``, leaves the whole slot surviving additive
+    interference (:class:`~repro.topology.interference_map.SlotSurvival`).
+    ``base`` is kept as given, but a base that fails the additive check
+    lets no candidate in.  This is the primitive behind both the RAND
+    scheduler's slot construction and the converter's fake-link
+    insertion (Sec. 3.3).
     """
     chosen: List[Link] = list(base)
-    chosen_set: Set[Link] = set(chosen)
+    used: Set[int] = set(blocked_nodes)
+    for link in chosen:
+        used.update(link)
+    has_edge = graph.has_edge
+    slot = None
     for cand in candidates:
-        if cand in chosen_set:
+        if cand.src in used or cand.dst in used:
             continue
-        if all(not graph.has_edge(cand, picked) for picked in chosen):
-            chosen.append(cand)
-            chosen_set.add(cand)
+        if any(has_edge(cand, link) for link in chosen):
+            continue
+        if imap is not None:
+            if slot is None:
+                # Fold the base only once some candidate needs it.
+                slot = imap.slot()
+                if not all(slot.try_add(link) for link in chosen):
+                    return chosen
+            if not slot.try_add(cand):
+                continue
+        chosen.append(cand)
+        used.update(cand)
     return chosen
 
 

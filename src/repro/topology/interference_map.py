@@ -6,6 +6,8 @@ This module wraps an RSS source (trace matrix or propagation model)
 and answers the questions the scheduler, converter and analysis need:
 
 * can two links be active in the same slot (``conflicts``)?
+* does a whole slot survive additive interference, grown one link at
+  a time (``slot`` / ``SlotSurvival``, and ``set_survives`` on top)?
 * can a node's signature trigger another node (``can_trigger``)?
 * which link pairs are *hidden* or *exposed* — the counts reported in
   Sec. 4.2.3 ("10 hidden link pairs and 62 exposed link pairs out of
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
-from ..sim.phy import PhyProfile, dbm_to_mw, mw_to_dbm
+from ..sim.phy import (SIGNATURE_CORRELATION_GAIN_DB, PhyProfile, dbm_to_mw,
+                       mw_to_dbm)
 from .links import Link
 
 RssFn = Callable[[int, int], float]
@@ -113,6 +117,10 @@ class InterferenceMap:
             return True
         return False
 
+    def slot(self) -> "SlotSurvival":
+        """An empty slot to grow under the additive check."""
+        return SlotSurvival(self)
+
     def set_survives(self, links: Sequence[Link]) -> bool:
         """Does the whole slot survive additively?
 
@@ -120,23 +128,11 @@ class InterferenceMap:
         so a set can fail even when each pair passes.  Data receptions
         face every other sender; ACK receptions face every other
         receiver (slot-aligned semantics as in :meth:`conflicts`).
+        Stopping at the first prefix that fails is exact: the full
+        slot's fold at that reception only adds non-negative terms.
         """
-        basic = self.profile.basic_rate_mbps
-        nodes_used: Set[int] = set()
-        for link in links:
-            if link.src in nodes_used or link.dst in nodes_used:
-                return False
-            nodes_used.add(link.src)
-            nodes_used.add(link.dst)
-        for link in links:
-            data_interferers = [o.src for o in links if o != link]
-            if not self._sinr_survives(link.src, link.dst, data_interferers):
-                return False
-            ack_interferers = [o.dst for o in links if o != link]
-            if not self._sinr_survives(link.dst, link.src, ack_interferers,
-                                       basic):
-                return False
-        return True
+        slot = self.slot()
+        return all(slot.try_add(link) for link in links)
 
     # ------------------------------------------------------------------
     # Triggering (Sec. 3.3: "link l could trigger n iff the signature
@@ -154,7 +150,6 @@ class InterferenceMap:
         cached = self._trigger_cache.get(key)
         if cached is not None:
             return cached
-        from ..sim.phy import SIGNATURE_CORRELATION_GAIN_DB
         snr_db = self.rss_dbm(src, target) - self.profile.noise_dbm
         basic_threshold = self.profile.sinr_threshold_db(self.profile.basic_rate_mbps)
         ok = snr_db >= basic_threshold - SIGNATURE_CORRELATION_GAIN_DB + 6.0
@@ -218,3 +213,73 @@ class InterferenceMap:
             counts[self.classify_pair(l1, l2)] += 1
             counts["total"] += 1
         return counts
+
+
+class SlotSurvival:
+    """One slot grown link by link under the additive SINR check.
+
+    Every accepted link keeps two running interference sums: at its
+    data receiver (the other links' senders) and at its ACK receiver
+    (the other links' receivers, heard by this link's sender at the
+    basic rate).  Each sum starts from the noise floor and adds the
+    other links in acceptance order, which is term for term the fold
+    :meth:`InterferenceMap._sinr_survives` runs over the slot's list,
+    so every verdict equals ``set_survives([*links, cand])``.  Testing
+    a candidate against ``k`` accepted links reads ``4k`` RSS terms
+    instead of re-folding ``2(k+1)^2``.  RSS is read live; nothing is
+    kept beyond the slot's own sums.
+    """
+
+    __slots__ = ("links", "_rss", "_nodes", "_noise_mw", "_data_min_db",
+                 "_ack_min_db", "_recv")
+
+    def __init__(self, imap: InterferenceMap):
+        profile = imap.profile
+        #: Accepted links, in acceptance order.
+        self.links: List[Link] = []
+        self._rss = imap.rss_dbm
+        self._nodes: Set[int] = set()
+        self._noise_mw = profile.noise_mw()
+        self._data_min_db = (profile.sinr_threshold_db(profile.data_rate_mbps)
+                             + imap.margin_db)
+        self._ack_min_db = (profile.sinr_threshold_db(profile.basic_rate_mbps)
+                            + imap.margin_db)
+        #: Per accepted link: (src, dst, data signal dBm, data
+        #: interference mW, ACK signal dBm, ACK interference mW).
+        self._recv: List[Tuple[int, int, float, float, float, float]] = []
+
+    def try_add(self, link: Link) -> bool:
+        """Accept ``link`` iff the slot plus ``link`` still survives.
+
+        A rejected link leaves the slot untouched.
+        """
+        src, dst = link
+        if src in self._nodes or dst in self._nodes:
+            return False
+        rss = self._rss
+        data_min, ack_min = self._data_min_db, self._ack_min_db
+        data_mw = ack_mw = self._noise_mw
+        recv = []
+        for o_src, o_dst, o_data_db, o_data_mw, o_ack_db, o_ack_mw in self._recv:
+            data_mw += dbm_to_mw(rss(o_src, dst))
+            ack_mw += dbm_to_mw(rss(o_dst, src))
+            o_data_mw += dbm_to_mw(rss(src, o_dst))
+            if not o_data_db - mw_to_dbm(o_data_mw) >= data_min:
+                return False
+            o_ack_mw += dbm_to_mw(rss(dst, o_src))
+            if not o_ack_db - mw_to_dbm(o_ack_mw) >= ack_min:
+                return False
+            recv.append((o_src, o_dst, o_data_db, o_data_mw, o_ack_db,
+                         o_ack_mw))
+        data_db = mw_to_dbm(dbm_to_mw(rss(src, dst)))
+        if not data_db - mw_to_dbm(data_mw) >= data_min:
+            return False
+        ack_db = mw_to_dbm(dbm_to_mw(rss(dst, src)))
+        if not ack_db - mw_to_dbm(ack_mw) >= ack_min:
+            return False
+        recv.append((src, dst, data_db, data_mw, ack_db, ack_mw))
+        self._recv = recv
+        self.links.append(link)
+        self._nodes.add(src)
+        self._nodes.add(dst)
+        return True

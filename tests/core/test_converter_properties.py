@@ -46,7 +46,7 @@ def random_pairs_setup(n_pairs: int, seed: int):
        st.integers(min_value=2, max_value=6))
 def test_property_converter_invariants(n_pairs, seed, batch_slots):
     imap, graph, links = random_pairs_setup(n_pairs, seed)
-    scheduler = RandScheduler(graph, links, set_check=imap.set_survives)
+    scheduler = RandScheduler(graph, links, imap=imap)
     converter = ScheduleConverter(imap, graph, fake_candidates=links)
 
     demands = {l: 2 for l in links}

@@ -43,16 +43,18 @@ def test_far_links_independent():
     assert not imap.conflicts(Link(0, 1), Link(2, 3))
 
 
+#: Three pairwise-compatible links whose interference adds up to break
+#: one reception — the pairwise graph misses this.
+ADDITIVE_PAIRS = {
+    (0, 1): -62.0,             # marginal victim link
+    (2, 3): -50.0, (4, 5): -50.0,
+    # each interferer alone leaves ~12.5 dB SINR (threshold 8+3):
+    (2, 1): -74.5, (4, 1): -74.5,
+}
+
+
 def test_set_survives_catches_additive_interference():
-    """Three pairwise-compatible links whose interference adds up to
-    break one reception — the pairwise graph misses this."""
-    pairs = {
-        (0, 1): -62.0,             # marginal victim link
-        (2, 3): -50.0, (4, 5): -50.0,
-        # each interferer alone leaves ~12.5 dB SINR (threshold 8+3):
-        (2, 1): -74.5, (4, 1): -74.5,
-    }
-    imap = make_imap(pairs)
+    imap = make_imap(ADDITIVE_PAIRS)
     assert not imap.conflicts(Link(0, 1), Link(2, 3))
     assert not imap.conflicts(Link(0, 1), Link(4, 5))
     assert imap.set_survives([Link(0, 1), Link(2, 3)])

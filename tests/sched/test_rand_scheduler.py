@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sched.rand_scheduler import RandScheduler
+from repro.topology.conflict_graph import build_conflict_graph
 from repro.topology.links import Link
+from test_interference_map import ADDITIVE_PAIRS, make_imap
 
 
 def chain_graph(n):
@@ -76,15 +78,20 @@ def test_max_slots_respected():
 
 
 def test_set_check_blocks_additive_sets():
-    links, graph = chain_graph(5)  # 0 and 2 and 4 pairwise independent
-
-    def no_triples(slot):
-        return len(slot) <= 2
-
-    scheduler = RandScheduler(graph, links, set_check=no_triples)
-    schedule = scheduler.schedule_batch({l: 1 for l in links}, max_slots=10)
+    imap = make_imap(ADDITIVE_PAIRS)
+    links = [Link(0, 1), Link(2, 3), Link(4, 5)]
+    graph = build_conflict_graph(imap, links)
+    assert graph.number_of_edges() == 0  # compatible in pairs
+    demands = {l: 1 for l in links}
+    # The graph alone packs the triple into one slot ...
+    assert RandScheduler(graph, links).schedule_batch(
+        demands, max_slots=10)[0] == links
+    # ... the additive check on the real map splits it.
+    scheduler = RandScheduler(graph, links, imap=imap)
+    schedule = scheduler.schedule_batch(demands, max_slots=10)
+    assert [list(slot) for slot in schedule] == [links[:2], links[2:]]
     for slot in schedule:
-        assert len(slot) <= 2
+        assert imap.set_survives(slot)
 
 
 def test_unknown_link_rejected():

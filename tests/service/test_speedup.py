@@ -5,10 +5,14 @@ revision (apply + revise) must run at least five times faster than a
 from-scratch recompute of the same state.  Measured as totals over a
 30-event stream so one scheduler hiccup cannot decide the verdict;
 every compared pair is also digest-checked, so the speedup is over
-*provably identical* outputs.
+*provably identical* outputs, and the pairwise conflict tests each
+revision runs are counted exactly beside the wall-time ratio.
 """
 
+import gc
 import time
+
+import pytest
 
 from repro.service import (IncrementalController, NetworkState,
                            ServiceConfig, link_rss_wobble)
@@ -34,7 +38,23 @@ def quiet_client(engine, revision):
     raise AssertionError("every client scheduled; topology too small")
 
 
-def test_single_link_delta_speedup_at_forty_nodes():
+@pytest.fixture
+def frozen_heap():
+    """Keep objects left by earlier tests out of timed collections.
+
+    In a full test run the process holds a large heap from earlier
+    tests.  One full collection over it costs about as much as the
+    whole incremental side, and lands on whichever side happens to
+    cross the allocation threshold.  Frozen, that heap is never
+    scanned; each side still pays for collecting its own garbage.
+    """
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+def test_single_link_delta_speedup_at_forty_nodes(frozen_heap):
     topology = random_t_topology(10, 3, seed=1)
     state = NetworkState.from_topology(topology)
     assert state.n_nodes == 40
@@ -61,6 +81,9 @@ def test_single_link_delta_speedup_at_forty_nodes():
 
         assert revision.digest == expected, f"oracle mismatch at {i}"
         assert applied.n_dirty_links == 2  # exactly the client's pair
+        # Deterministic cost of the incremental side: both dirty links
+        # against every other link, their own pair once (117 at 60).
+        assert applied.conflict.checked == 2 * len(engine.state.links) - 3
 
     speedup = full_s / incremental_s
     assert engine.cache.hits > engine.cache.misses, (
