@@ -7,12 +7,17 @@ seed export byte-identical traces.  End-to-end digest tests catch a
 broken invariant *after the fact*; dominolint rejects the source
 patterns that break it *at commit time*:
 
-* **Determinism rules (DOM1xx)** — wall-clock reads, unseeded or
-  process-global RNG, unordered ``set`` iteration and float-timestamp
-  equality inside the sim-logic layers.
+* **Determinism rules (DOM1xx)** — wall-clock values (DOM101) and
+  unseeded or process-global RNG values (DOM102) reaching the
+  sim-logic layers, whether read directly or laundered through helper
+  calls (per-function summaries over a module call graph track them, with
+  ``repro.telemetry.wallclock`` as the blessed sanitizer); unordered
+  ``set`` iteration (DOM103) and float-timestamp equality (DOM104).
 * **Layering rules (DOM2xx)** — the allowed-dependency DAG between
   ``repro.*`` packages, declared in ``[tool.dominolint.layers]`` in
-  ``pyproject.toml``; an import edge not in the table is an error.
+  ``pyproject.toml``; an import edge not in the table is an error
+  (DOM201), and the whole import graph is checked for cycles and
+  transitive escapes the per-edge check cannot see (DOM203).
 * **Telemetry-schema rules (DOM3xx)** — every event emission in
   ``src/`` must name a kind registered in
   :mod:`repro.telemetry.events` with a matching shape, and changing an
@@ -26,12 +31,10 @@ patterns that break it *at commit time*:
   an ``await`` boundary outside a lock/epoch guard (DOM501), task
   handles must be retained (DOM502), and only picklable module-level
   functions may cross the process-pool boundary (DOM503).
-* **Dataflow rules (DOM105/DOM106, DOM203)** — a whole-tree phase:
-  per-function CFGs and a module call graph track wall-clock/RNG
-  values laundered into sim code through helper calls (with
-  ``repro.telemetry.wallclock`` as the blessed sanitizer), and the
-  *transitive* import closure is checked for cycles and layering
-  escapes the per-edge DOM201 check cannot see.
+
+Every rule that looks at imports or clock/RNG calls reads them from one
+per-module fact record (:class:`repro.lint.callgraph.ModuleFacts`),
+extracted in one pass and cached by content hash.
 
 Run it as ``python -m repro.lint [paths]`` (paths default to ``src``).
 Findings go to stderr as ``path:line:col: RULE message``; exit code 0

@@ -1,18 +1,19 @@
-"""Whole-tree module facts: imports, functions, and the call graph.
+"""Whole-tree module facts: imports, clock/RNG reads, functions, calls.
 
-The per-node rules (DOM1xx syntactic, DOM2xx direct, DOM3xx, DOM4xx,
-DOM5xx) look at one file at a time; the *flow* rules need a view of
-the whole ``src`` tree:
+Every rule that asks "what does this module import?" or "where does it
+read the clock or an RNG?" answers from one record:
 
-* :class:`ModuleFacts` is everything the cross-file phases need from
-  one module, extracted in a single AST pass and — crucially — fully
+* :class:`ModuleFacts` is everything the import, source and flow rules
+  need from one module, extracted in a single AST pass by
+  :class:`_FactsExtractor` — the only code in the linter that reads
+  import statements or classifies clock/RNG calls — and fully
   JSON-serializable, so the content-hash cache can skip re-parsing
   unchanged files entirely.
 * :class:`ProgramIndex` is the assembled whole-program view: the
-  module import graph (including *lazy* function-level imports, which
-  direct layering checks can be talked out of with an inline
-  suppression) and the function table with call edges, which the taint
-  engine (:mod:`repro.lint.taint`) runs its fixpoint over.
+  module table (whose import sites, *lazy* function-level imports
+  included, form the package graph of :mod:`repro.lint.layering`) and
+  the function table with call edges, which the taint engine
+  (:mod:`repro.lint.taint`) runs its fixpoint over.
 
 Call resolution is deliberately best-effort static: direct calls to
 names imported with ``from m import f``, ``m.f(...)`` through a module
@@ -27,31 +28,50 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .layering import _resolve_relative
+from .taint import intra_taint, source_kind
 
 #: Serialized-facts schema version; bump on shape changes so stale
 #: cache entries self-invalidate.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 
 @dataclass
 class ImportEdge:
-    """One first-party import site."""
+    """One import site, first- or third-party."""
 
-    target: str               # absolute dotted module/attr path
+    target: str               # absolute dotted path; ``pkg.*`` for a star
     lineno: int
     col: int
     lazy: bool                # inside a function body (deferred)
     type_checking: bool       # under ``if TYPE_CHECKING:`` (never runs)
+    gated: bool               # in a ``try`` that catches ImportError
 
     def to_json(self) -> List[Any]:
-        return [self.target, self.lineno, self.col,
-                int(self.lazy), int(self.type_checking)]
+        return [self.target, self.lineno, self.col, int(self.lazy),
+                int(self.type_checking), int(self.gated)]
 
     @staticmethod
     def from_json(row: Sequence[Any]) -> "ImportEdge":
         return ImportEdge(str(row[0]), int(row[1]), int(row[2]),
-                          bool(row[3]), bool(row[4]))
+                          bool(row[3]), bool(row[4]), bool(row[5]))
+
+
+@dataclass
+class SourceCall:
+    """One direct wall-clock/RNG read, at any scope."""
+
+    source: str               # a :data:`repro.lint.taint.SOURCES` label
+    raw: str                  # the source spelling (for messages)
+    lineno: int
+    col: int
+
+    def to_json(self) -> List[Any]:
+        return [self.source, self.raw, self.lineno, self.col]
+
+    @staticmethod
+    def from_json(row: Sequence[Any]) -> "SourceCall":
+        return SourceCall(str(row[0]), str(row[1]), int(row[2]),
+                          int(row[3]))
 
 
 @dataclass
@@ -112,6 +132,7 @@ class ModuleFacts:
     module: str
     path: str                           # root-relative, for findings
     imports: List[ImportEdge] = field(default_factory=list)
+    sources: List[SourceCall] = field(default_factory=list)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     #: ``lineno -> [RULE, ...]`` inline suppressions, so cross-file
     #: findings can honour them without re-reading the source.
@@ -123,6 +144,7 @@ class ModuleFacts:
             "module": self.module,
             "path": self.path,
             "imports": [e.to_json() for e in self.imports],
+            "sources": [s.to_json() for s in self.sources],
             "functions": {q: f.to_json()
                           for q, f in sorted(self.functions.items())},
             "suppressions": {str(line): rules for line, rules
@@ -137,6 +159,7 @@ class ModuleFacts:
             module=str(data["module"]),
             path=str(data["path"]),
             imports=[ImportEdge.from_json(e) for e in data["imports"]],
+            sources=[SourceCall.from_json(s) for s in data["sources"]],
             functions={str(q): FunctionFacts.from_json(f)
                        for q, f in data["functions"].items()},
             suppressions={int(line): [str(r) for r in rules]
@@ -147,9 +170,9 @@ class ModuleFacts:
 class _Scope:
     """Name bindings visible to call resolution in one module."""
 
-    def __init__(self, module: str, root: str):
+    def __init__(self, module: str):
         self.module = module
-        self.root = root
+        self.root = module.split(".")[0]
         #: local alias -> absolute dotted target ("np" -> "numpy",
         #: "perf_counter" -> "time.perf_counter", ...).
         self.aliases: Dict[str, str] = {}
@@ -166,7 +189,8 @@ class _Scope:
         return dotted
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -178,6 +202,7 @@ def _dotted(node: ast.AST) -> Optional[str]:
 
 
 def _is_type_checking_test(test: ast.AST) -> bool:
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING`` as an if-test."""
     if isinstance(test, ast.Name):
         return test.id == "TYPE_CHECKING"
     if isinstance(test, ast.Attribute):
@@ -185,35 +210,83 @@ def _is_type_checking_test(test: ast.AST) -> bool:
     return False
 
 
+def _catches_import_error(node: ast.Try) -> bool:
+    for handler in node.handlers:
+        types = handler.type
+        if types is None:
+            return True               # bare except swallows ImportError
+        names = types.elts if isinstance(types, ast.Tuple) else [types]
+        for name in names:
+            label = (name.id if isinstance(name, ast.Name)
+                     else name.attr if isinstance(name, ast.Attribute)
+                     else None)
+            if label in ("ImportError", "ModuleNotFoundError"):
+                return True
+    return False
+
+
+def _resolve_relative(module: str, is_package: bool, level: int,
+                      target: Optional[str]) -> Optional[str]:
+    """Absolute module for a ``from ... import`` with ``level`` dots.
+
+    ``module`` is the importing module's dotted name (``__init__``
+    already stripped, so a package's ``__init__`` carries the package
+    name itself — hence ``is_package``).  Returns ``None`` when the
+    relative import escapes the tree.
+    """
+    if level == 0:
+        return target
+    # Relative imports resolve against the importer's __package__: the
+    # module's own package for one dot, one component up per extra dot.
+    parts = module.split(".")
+    if not is_package:
+        parts = parts[:-1]
+    for _ in range(level - 1):
+        if not parts:
+            return None
+        parts = parts[:-1]
+    if target:
+        parts = [*parts, *target.split(".")]
+    return ".".join(parts) if parts else None
+
+
 class _FactsExtractor(ast.NodeVisitor):
-    """One pass over a module: imports, aliases, function summaries."""
+    """The one reader of import statements and clock/RNG calls.
+
+    The visit records import sites, binds names and collects every
+    call and top-level function; :meth:`finish` then classifies the
+    calls and summarizes the functions against the module's complete
+    bindings, so a call resolves against every import in the module,
+    not just the ones lexically above it.  The first binding of a name
+    wins.
+    """
 
     def __init__(self, facts: ModuleFacts, is_package: bool):
         self.facts = facts
         self.is_package = is_package
-        self.root = facts.module.split(".")[0]
-        self.scope = _Scope(facts.module, self.root)
+        self.scope = _Scope(facts.module)
         self._func_depth = 0
         self._type_checking = 0
+        self._gated = 0
         self._class_stack: List[str] = []
+        self._calls: List[ast.Call] = []
+        self._functions: List[Tuple[str, ast.AST, Optional[str]]] = []
 
     # -- imports --------------------------------------------------------
-    def _record_import(self, node: ast.AST, target: str) -> None:
-        if target == self.root or target.startswith(self.root + "."):
-            self.facts.imports.append(ImportEdge(
-                target=target,
-                lineno=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                lazy=self._func_depth > 0,
-                type_checking=self._type_checking > 0,
-            ))
+    def _record_import(self, node: ast.stmt, target: str) -> None:
+        self.facts.imports.append(ImportEdge(
+            target=target, lineno=node.lineno, col=node.col_offset,
+            lazy=self._func_depth > 0,
+            type_checking=self._type_checking > 0,
+            gated=self._gated > 0,
+        ))
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self._record_import(node, alias.name)
-            bound = alias.asname or alias.name.split(".")[0]
-            self.scope.aliases[bound] = (alias.name if alias.asname
-                                         else alias.name.split(".")[0])
+            head = alias.name.split(".")[0]
+            self.scope.aliases.setdefault(
+                alias.asname or head, alias.name if alias.asname else head)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         base = _resolve_relative(self.facts.module, self.is_package,
@@ -221,11 +294,15 @@ class _FactsExtractor(ast.NodeVisitor):
         if base is None:
             return
         for alias in node.names:
-            if alias.name == "*":
-                continue
+            # ``from repro import telemetry`` imports a *subpackage*, so
+            # ``base.name`` is the real edge.  For attribute imports
+            # (``from .engine import Simulator``) the extra leaf is
+            # harmless — package mapping is prefix-based.
             target = f"{base}.{alias.name}"
             self._record_import(node, target)
-            self.scope.aliases[alias.asname or alias.name] = target
+            if alias.name != "*":
+                self.scope.aliases.setdefault(alias.asname or alias.name,
+                                              target)
 
     def visit_If(self, node: ast.If) -> None:
         if _is_type_checking_test(node.test):
@@ -238,30 +315,53 @@ class _FactsExtractor(ast.NodeVisitor):
         else:
             self.generic_visit(node)
 
+    def visit_Try(self, node: ast.Try) -> None:
+        if _catches_import_error(node):
+            self._gated += 1
+            for child in node.body:
+                self.visit(child)
+            self._gated -= 1
+            for group in (node.handlers, node.orelse, node.finalbody):
+                for child in group:
+                    self.visit(child)
+        else:
+            self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        self._calls.append(node)
+        self.generic_visit(node)
+
     # -- definitions ----------------------------------------------------
     def _qualify(self, name: str) -> str:
         if self._class_stack:
             return ".".join([self.facts.module, *self._class_stack, name])
         return f"{self.facts.module}.{name}"
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+    def _define(self, node: Any) -> None:
+        """Bind a module-level def; visit its header in outer scope."""
         if self._func_depth == 0 and not self._class_stack:
-            self.scope.module_defs[node.name] = self._qualify(node.name)
+            self.scope.module_defs.setdefault(node.name,
+                                              self._qualify(node.name))
+        for name, value in ast.iter_fields(node):
+            if name == "body":
+                continue
+            for child in (value if isinstance(value, list) else [value]):
+                if isinstance(child, ast.AST):
+                    self.visit(child)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._define(node)
         self._class_stack.append(node.name)
         for child in node.body:
             self.visit(child)
         self._class_stack.pop()
 
     def _visit_func(self, node: Any) -> None:
-        if self._func_depth == 0 and not self._class_stack:
-            self.scope.module_defs[node.name] = self._qualify(node.name)
-        qname = self._qualify(node.name)
+        self._define(node)
         if self._func_depth == 0:
-            summary = summarize_function(
-                node, self.scope, self._class_stack[-1]
-                if self._class_stack else None)
-            summary.qname = qname
-            self.facts.functions[qname] = summary
+            self._functions.append((
+                self._qualify(node.name), node,
+                self._class_stack[-1] if self._class_stack else None))
         self._func_depth += 1
         for child in node.body:
             self.visit(child)
@@ -269,6 +369,23 @@ class _FactsExtractor(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_func
     visit_AsyncFunctionDef = _visit_func
+
+    # -- classification -------------------------------------------------
+    def finish(self) -> None:
+        """Classify source calls; summarize top-level functions."""
+        sources: Dict[ast.Call, str] = {}
+        for call in self._calls:
+            raw = dotted_name(call.func)
+            if raw is None:
+                continue
+            source = source_kind(self.scope.resolve(raw), call)
+            if source is not None:
+                sources[call] = source
+                self.facts.sources.append(SourceCall(
+                    source, raw, call.lineno, call.col_offset))
+        for qname, node, cls in self._functions:
+            self.facts.functions[qname] = summarize_function(
+                qname, node, self.scope, cls, sources)
 
 
 # ----------------------------------------------------------------------
@@ -289,22 +406,21 @@ def resolve_call(dotted: str, scope: _Scope,
     return None
 
 
-def summarize_function(node: ast.AST, scope: _Scope,
-                       cls: Optional[str]) -> FunctionFacts:
+def summarize_function(qname: str, node: ast.AST, scope: _Scope,
+                       cls: Optional[str],
+                       sources: Dict[ast.Call, str]) -> FunctionFacts:
     """Call sites + intra-procedural taint summary of one function."""
-    from .taint import intra_taint  # callgraph <-> taint: one lazy leg
-
-    facts = FunctionFacts(qname="", lineno=getattr(node, "lineno", 1))
+    facts = FunctionFacts(qname=qname, lineno=getattr(node, "lineno", 1))
     for child in ast.walk(node):
         if not isinstance(child, ast.Call):
             continue
-        dotted = _dotted(child.func)
+        dotted = dotted_name(child.func)
         if dotted is None:
             continue
         facts.calls.append(CallSite(
             callee=resolve_call(dotted, scope, cls), raw=dotted,
             lineno=child.lineno, col=child.col_offset))
-    direct, ret_deps = intra_taint(node, scope, cls)
+    direct, ret_deps = intra_taint(node, scope, cls, sources)
     facts.direct_return_taint = sorted(direct)
     facts.return_deps = sorted(ret_deps)
     return facts
@@ -317,52 +433,25 @@ def extract_facts(tree: ast.AST, module: str, path: str,
     facts = ModuleFacts(module=module, path=path,
                         suppressions=dict(suppressions))
     extractor = _FactsExtractor(facts, is_package)
-    # Two passes so calls resolve against *all* module-level bindings,
-    # not just the ones lexically above the call site.
-    _prebind(tree, extractor)
-    for node in ast.iter_child_nodes(tree):
-        extractor.visit(node)
+    extractor.visit(tree)
+    extractor.finish()
     return facts
-
-
-def _prebind(tree: ast.AST, extractor: _FactsExtractor) -> None:
-    """Pre-register module-level defs and imports for resolution."""
-    scope = extractor.scope
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                scope.aliases.setdefault(
-                    bound, alias.name if alias.asname
-                    else alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            base = _resolve_relative(extractor.facts.module,
-                                     extractor.is_package,
-                                     node.level, node.module)
-            if base is None:
-                continue
-            for alias in node.names:
-                if alias.name != "*":
-                    scope.aliases.setdefault(alias.asname or alias.name,
-                                             f"{base}.{alias.name}")
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            scope.module_defs.setdefault(
-                node.name, f"{extractor.facts.module}.{node.name}")
 
 
 # ----------------------------------------------------------------------
 # The assembled whole-program view
 # ----------------------------------------------------------------------
 class ProgramIndex:
-    """Modules, functions and import edges of the whole src tree."""
+    """Modules and functions of the whole src tree."""
 
     def __init__(self, modules: Dict[str, ModuleFacts]):
         self.modules = modules
         self.functions: Dict[str, FunctionFacts] = {}
         for facts in modules.values():
             self.functions.update(facts.functions)
+        #: Modules with at least one child module (re-export hubs).
+        self._packages = {module.rpartition(".")[0]
+                          for module in modules} & set(modules)
 
     def module_of_function(self, qname: str) -> Optional[str]:
         """Longest known module prefix of a function qname."""
@@ -385,39 +474,13 @@ class ProgramIndex:
             return self.functions[target]
         # ``pkg.sub.f`` where ``pkg.sub`` re-exports f from a child.
         module, _, name = target.rpartition(".")
-        if module in self.modules:
+        if module in self._packages:
             for facts in self.modules.values():
                 if facts.module.startswith(module + "."):
                     candidate = f"{facts.module}.{name}"
                     if candidate in self.functions:
                         return self.functions[candidate]
         return None
-
-    def package_import_edges(
-            self, package_of: Any,
-            include_type_checking: bool = False,
-    ) -> Dict[Tuple[str, str], Tuple[str, ImportEdge]]:
-        """Package-level edges with their first (provenance) site.
-
-        Maps ``(src_pkg, dst_pkg)`` to ``(path, edge)`` — the file and
-        import statement that first creates the edge, in deterministic
-        module order, so findings always anchor to the same line.
-        """
-        edges: Dict[Tuple[str, str], Tuple[str, ImportEdge]] = {}
-        for module in sorted(self.modules):
-            facts = self.modules[module]
-            src_pkg = package_of(module)
-            for edge in sorted(facts.imports,
-                               key=lambda e: (e.lineno, e.col)):
-                if edge.type_checking and not include_type_checking:
-                    continue
-                dst_pkg = package_of(edge.target)
-                if dst_pkg == src_pkg:
-                    continue
-                key = (src_pkg, dst_pkg)
-                if key not in edges:
-                    edges[key] = (facts.path, edge)
-        return edges
 
 
 def build_index(facts_list: Sequence[ModuleFacts]) -> ProgramIndex:
@@ -426,5 +489,6 @@ def build_index(facts_list: Sequence[ModuleFacts]) -> ProgramIndex:
 
 __all__ = [
     "CallSite", "FunctionFacts", "ImportEdge", "ModuleFacts",
-    "ProgramIndex", "build_index", "extract_facts", "summarize_function",
+    "ProgramIndex", "SourceCall", "build_index", "dotted_name",
+    "extract_facts", "summarize_function",
 ]

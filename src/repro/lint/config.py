@@ -61,7 +61,7 @@ class Config:
         functions, not closures over mutable parent state.
     taint_sanitizers:
         Modules whose calls are *blessed* wall-clock/RNG boundaries —
-        taint (DOM105/DOM106) does not propagate through them.  The
+        taint (DOM101/DOM102 call hops) does not propagate through them.  The
         repo's one sanctioned example is ``repro.telemetry.wallclock``.
     transitive_waivers:
         ``"pkg.a -> pkg.b"`` edges the transitive layering check

@@ -3,9 +3,10 @@
 The sim packages are the code every experiment, sweep and CI job must
 be able to import; a third-party import that ``pyproject.toml`` does
 not declare works on the author's machine and breaks on the next clean
-install.  DOM401 flags any absolute import in a sim package whose
+install.  DOM401 flags any import site in a sim package whose
 top-level module is neither stdlib, first-party, nor covered by
-``[project] dependencies``.
+``[project] dependencies``.  It reads the import sites the facts
+extractor (:mod:`repro.lint.callgraph`) recorded.
 
 Two escapes are deliberate:
 
@@ -18,106 +19,39 @@ Two escapes are deliberate:
 
 from __future__ import annotations
 
-import ast
 import sys
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .config import Config
 from .findings import Finding
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from .callgraph import ModuleFacts
+    from .config import Config
 
 #: Module names the running interpreter ships (3.10+).
 _STDLIB = frozenset(sys.stdlib_module_names)
 
 
-def _is_type_checking_test(test: ast.AST) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
-
-
-def _catches_import_error(node: ast.Try) -> bool:
-    for handler in node.handlers:
-        types = handler.type
-        if types is None:
-            return True               # bare except swallows ImportError
-        names = types.elts if isinstance(types, ast.Tuple) else [types]
-        for name in names:
-            label = (name.id if isinstance(name, ast.Name)
-                     else name.attr if isinstance(name, ast.Attribute)
-                     else None)
-            if label in ("ImportError", "ModuleNotFoundError"):
-                return True
-    return False
-
-
-class _DepsVisitor(ast.NodeVisitor):
-    def __init__(self, config: Config, path: str, module: str):
-        self.config = config
-        self.path = path
-        self.root = module.split(".")[0]
-        self.findings: List[Finding] = []
-        self._exempt_depth = 0
-
-    def visit_If(self, node: ast.If) -> None:
-        if _is_type_checking_test(node.test):
-            self._exempt_depth += 1
-            for child in node.body:
-                self.visit(child)
-            self._exempt_depth -= 1
-            for child in node.orelse:
-                self.visit(child)
-        else:
-            self.generic_visit(node)
-
-    def visit_Try(self, node: ast.Try) -> None:
-        if _catches_import_error(node):
-            self._exempt_depth += 1
-            for child in node.body:
-                self.visit(child)
-            self._exempt_depth -= 1
-            for group in (node.handlers, node.orelse, node.finalbody):
-                for child in group:
-                    self.visit(child)
-        else:
-            self.generic_visit(node)
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self._check(node, alias.name)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.level or node.module is None:
-            return                    # relative: first-party by nature
-        self._check(node, node.module)
-
-    def _check(self, node: ast.AST, target: str) -> None:
-        if self._exempt_depth > 0:
-            return
-        top = target.split(".")[0]
-        if top == self.root or top in _STDLIB:
-            return
-        if self.config.dep_declared(top):
-            return
-        self.findings.append(Finding(
-            path=self.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
+def check_dependencies(facts: "ModuleFacts",
+                       config: "Config") -> List[Finding]:
+    """All DOM4xx findings for one sim-package module."""
+    root = facts.module.split(".")[0]
+    declared = ", ".join(sorted(config.declared_deps)) or "none"
+    findings: List[Finding] = []
+    for site in facts.imports:
+        if site.type_checking or site.gated:
+            continue
+        top = site.target.split(".")[0]
+        if top == root or top in _STDLIB or config.dep_declared(top):
+            continue
+        findings.append(Finding(
+            path=facts.path, line=site.lineno, col=site.col,
             rule="DOM401",
             message=(
                 f"undeclared third-party import: {top} is not in "
-                f"[project] dependencies (declared: "
-                f"{', '.join(sorted(self.config.declared_deps)) or 'none'}); "
+                f"[project] dependencies (declared: {declared}); "
                 f"declare it in pyproject.toml or gate the import with "
                 f"try/except ImportError"
             ),
         ))
-
-
-def check_dependencies(tree: ast.AST, path: str, module: str,
-                       config: Config) -> List[Finding]:
-    """All DOM4xx findings for one sim-package module."""
-    visitor = _DepsVisitor(config, path, module)
-    visitor.visit(tree)
-    return visitor.findings
+    return findings

@@ -1,21 +1,11 @@
-"""DOM1xx — determinism rules for the sim-logic layers.
+"""DOM103/DOM104 — the per-file determinism rules for sim-logic layers.
 
 Everything the scheduler, MAC and event loop compute must be a pure
-function of the seed: the digest tests (byte-identical JSONL per seed)
-and everything built on them — conversion caching, parallel sweeps,
-causal spans — depend on it.  These rules reject the four source
-patterns that historically break that property:
+function of the seed.  Wall-clock and RNG values reaching sim code
+(DOM101/DOM102) are judged from the module facts in
+:mod:`repro.lint.taint`; the two patterns left here need only the
+syntax of one file:
 
-DOM101
-    Wall-clock access (``time.time``/``perf_counter``, ``datetime.now``,
-    ``uuid.uuid4``...).  Wall time varies run to run; anything derived
-    from it poisons traces and schedules.  Profiling belongs in the
-    telemetry layer (``repro.telemetry.wallclock``), never in sim logic.
-DOM102
-    Process-global or unseeded randomness (module-level ``random.*``
-    calls, ``random.Random()`` with no seed, ``np.random.*``).  Every
-    stream must derive from ``Simulator.rng`` or an explicit seed —
-    the ``random.Random(sim.rng.getrandbits(64))`` ownership pattern.
 DOM103
     Iterating a bare ``set``/``frozenset`` (literals, constructors,
     set algebra).  Set order depends on insertion history and hash
@@ -31,38 +21,9 @@ DOM104
 from __future__ import annotations
 
 import ast
-from typing import List, Optional
+from typing import List
 
 from .findings import Finding
-
-#: Dotted call chains that read the wall clock or process-unique state.
-_WALL_CLOCK_CALLS = {
-    "time.time", "time.time_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-    "uuid.uuid1", "uuid.uuid4",
-}
-
-#: Bare names that are wall-clock reads wherever they were imported from.
-_WALL_CLOCK_NAMES = {
-    "perf_counter", "perf_counter_ns",
-    "monotonic", "monotonic_ns", "time_ns",
-    "uuid1", "uuid4",
-}
-
-#: ``<datetime-ish>.now()`` / ``.utcnow()`` / ``.today()`` receivers.
-_DATETIME_ROOTS = {"datetime", "date"}
-_DATETIME_METHODS = {"now", "utcnow", "today"}
-
-#: ``random.<fn>`` calls that use the hidden process-global stream.
-_GLOBAL_RANDOM_FNS = {
-    "random", "randint", "randrange", "getrandbits", "choice", "choices",
-    "sample", "shuffle", "uniform", "triangular", "betavariate",
-    "expovariate", "gammavariate", "gauss", "lognormvariate",
-    "normalvariate", "vonmisesvariate", "paretovariate", "weibullvariate",
-    "seed",
-}
 
 #: Attribute names with float-timestamp semantics in this codebase.
 _TIMESTAMP_ATTRS = {"time", "now", "t", "timestamp", "deadline",
@@ -72,18 +33,6 @@ _TIMESTAMP_NAMES = {"now", "t", "t0", "t1"}
 #: Set-returning methods; only set/frozenset define these in stdlib.
 _SET_METHODS = {"union", "intersection", "difference",
                 "symmetric_difference"}
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -124,102 +73,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
             rule=rule,
             message=message,
         ))
-
-    # -- DOM101: wall-clock imports and calls ---------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            root = alias.name.split(".")[0]
-            if root in {"time", "uuid"}:
-                self._flag(
-                    node, "DOM101",
-                    f"sim-logic layers must not import '{alias.name}': "
-                    f"wall-clock and process-unique values break the "
-                    f"byte-identical-per-seed contract (route timing "
-                    f"through repro.telemetry instead)",
-                )
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "time":
-            self._flag(
-                node, "DOM101",
-                "sim-logic layers must not import from 'time': wall-clock "
-                "reads vary run to run (route timing through "
-                "repro.telemetry instead)",
-            )
-        elif node.module == "uuid":
-            self._flag(
-                node, "DOM101",
-                "sim-logic layers must not import from 'uuid': uuids are "
-                "process-unique and poison deterministic traces",
-            )
-        elif node.module == "random":
-            for alias in node.names:
-                if alias.name in _GLOBAL_RANDOM_FNS:
-                    self._flag(
-                        node, "DOM102",
-                        f"'from random import {alias.name}' binds the "
-                        f"process-global RNG stream; derive a seeded "
-                        f"random.Random from Simulator.rng instead",
-                    )
-        self.generic_visit(node)
-
-    # -- DOM101/DOM102 call sites ---------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        if dotted is not None:
-            self._check_call(node, dotted)
-        self.generic_visit(node)
-
-    def _check_call(self, node: ast.Call, dotted: str) -> None:
-        parts = dotted.split(".")
-        if dotted in _WALL_CLOCK_CALLS or (
-                len(parts) == 1 and parts[0] in _WALL_CLOCK_NAMES):
-            self._flag(
-                node, "DOM101",
-                f"'{dotted}()' reads the wall clock (or mints a "
-                f"process-unique id); sim logic must derive every value "
-                f"from sim.now or the seeded RNG",
-            )
-            return
-        if len(parts) >= 2 and parts[-1] in _DATETIME_METHODS and \
-                parts[-2] in _DATETIME_ROOTS:
-            self._flag(
-                node, "DOM101",
-                f"'{dotted}()' reads the wall clock; sim logic must use "
-                f"sim.now (microseconds since run start)",
-            )
-            return
-        # DOM102: the process-global random module stream.
-        if len(parts) == 2 and parts[0] == "random" and \
-                parts[1] in _GLOBAL_RANDOM_FNS:
-            self._flag(
-                node, "DOM102",
-                f"'{dotted}()' uses the process-global RNG; derive an "
-                f"owned stream: random.Random(sim.rng.getrandbits(64))",
-            )
-            return
-        # DOM102: unseeded random.Random().
-        if parts[-1] == "Random" and parts[0] in {"random"} and \
-                not node.args and not node.keywords:
-            self._flag(
-                node, "DOM102",
-                "'random.Random()' without a seed draws entropy from the "
-                "OS; pass a seed derived from Simulator.rng",
-            )
-            return
-        # DOM102: numpy's global RNG state (np.random.*) — even the
-        # seeded legacy API is process-global, so all of it is out.
-        if len(parts) >= 3 and parts[0] in {"np", "numpy"} and \
-                parts[1] == "random":
-            if parts[2] == "default_rng" and (node.args or node.keywords):
-                return  # explicitly seeded generator: fine
-            self._flag(
-                node, "DOM102",
-                f"'{dotted}()' uses numpy's process-global RNG state; "
-                f"use np.random.default_rng(seed) with an explicit seed "
-                f"or draw from a random.Random owned by the simulator",
-            )
 
     # -- DOM103: unordered iteration ------------------------------------
     def visit_For(self, node: ast.For) -> None:
@@ -262,7 +115,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
 
 def check_determinism(tree: ast.AST, path: str) -> List[Finding]:
-    """All DOM1xx findings for one sim-logic module."""
+    """DOM103/DOM104 findings for one sim-logic module."""
     visitor = _DeterminismVisitor(path)
     visitor.visit(tree)
     return visitor.findings

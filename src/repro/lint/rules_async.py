@@ -33,8 +33,9 @@ analysis runs on the statement CFG from :mod:`repro.lint.cfg`.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
+from .callgraph import dotted_name
 from .cfg import await_crossed, build_cfg, guarded_statements
 from .findings import Finding
 
@@ -59,17 +60,6 @@ _POOL_RECEIVER_FRAGMENTS = ("pool", "executor")
 #: Receiver name fragments for structured-concurrency task groups,
 #: which own their tasks — ``tg.create_task(...)`` is fine bare.
 _TASK_GROUP_FRAGMENTS = ("tg", "group", "nursery")
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +152,7 @@ def _check_fire_and_forget(tree: ast.AST, path: str) -> List[Finding]:
         if not (isinstance(node, ast.Expr)
                 and isinstance(node.value, ast.Call)):
             continue
-        dotted = _dotted(node.value.func)
+        dotted = dotted_name(node.value.func)
         if dotted is None or "." not in dotted:
             continue
         receiver, _, method = dotted.rpartition(".")
@@ -214,7 +204,7 @@ def _check_pool_handoff(tree: ast.AST, path: str) -> List[Finding]:
         if not (isinstance(func, ast.Attribute)
                 and func.attr in _POOL_SUBMIT_METHODS):
             continue
-        receiver = _dotted(func.value) or ""
+        receiver = dotted_name(func.value) or ""
         lowered = receiver.split(".")[-1].lower()
         if not any(fragment in lowered
                    for fragment in _POOL_RECEIVER_FRAGMENTS):
@@ -228,7 +218,7 @@ def _check_pool_handoff(tree: ast.AST, path: str) -> List[Finding]:
         elif isinstance(target, ast.Name) and target.id in nested:
             reason = f"nested function '{target.id}'"
         elif isinstance(target, ast.Attribute):
-            dotted = _dotted(target) or target.attr
+            dotted = dotted_name(target) or target.attr
             if dotted.startswith("self."):
                 reason = f"bound method '{dotted}'"
         if reason is None:

@@ -2,17 +2,20 @@
 
 v2 runs in two phases:
 
-1. **Per-file** — the syntactic rule families (DOM1xx determinism,
-   DOM2xx direct layering, DOM3xx telemetry, DOM4xx deps, DOM5xx
-   async/pool) plus extraction of the module's cross-file facts.
-   This phase is pure per file, so its output is cached by content
-   hash (:mod:`repro.lint.cache`).
-2. **Whole-program** — the dataflow rules (DOM105/DOM106 taint,
-   DOM203 transitive layering) over the :class:`ProgramIndex` built
-   from *every* module under ``src-root``, regardless of which paths
-   were requested; findings are then filtered down to the requested
-   paths so ``python -m repro.lint src/repro/sim`` still sees taint
-   arriving from a helper in another package.
+1. **Per-file** — extraction of the module's facts (import sites,
+   clock/RNG calls, function summaries; :mod:`repro.lint.callgraph`),
+   the import rules read off those facts (DOM201/DOM202 direct
+   layering, DOM401 deps) and the syntactic families (DOM103/DOM104
+   determinism, DOM3xx telemetry, DOM5xx async/pool).  This phase is
+   pure per file, so its output is cached by content hash
+   (:mod:`repro.lint.cache`).
+2. **Whole-program** — DOM101/DOM102 (wall-clock and RNG values
+   reaching sim code, directly or through call hops) and DOM203
+   (transitive layering) over the :class:`ProgramIndex` built from
+   *every* module under ``src-root``, regardless of which paths were
+   requested; findings are then filtered down to the requested paths
+   so ``python -m repro.lint src/repro/sim`` still sees taint arriving
+   from a helper in another package.
 """
 
 from __future__ import annotations
@@ -30,13 +33,12 @@ from .config import Config, ConfigError, load_config
 from .deps import check_dependencies
 from .determinism import check_determinism
 from .findings import Finding, Suppressions
-from .layering import check_layering
+from .layering import check_layering, check_transitive
 from .rules_async import check_async
 from .sarif import render_sarif
 from .schema import (SchemaError, SchemaRegistry, check_baseline,
                      check_emissions, load_registry, write_baseline)
 from .taint import check_taint
-from .transitive import check_transitive
 
 #: Exit codes, matching the doctor CLI convention.
 EXIT_CLEAN = 0
@@ -81,29 +83,17 @@ def analyze_source(source: str, path: Path, config: Config,
     findings: List[Finding] = []
     facts: Optional[ModuleFacts] = None
     if module is not None:
-        is_package = path.name == "__init__.py"
+        facts = extract_facts(tree, module, rel,
+                              path.name == "__init__.py",
+                              suppressions.by_line())
         if config.in_sim_packages(module):
             findings.extend(check_determinism(tree, rel))
-            findings.extend(check_dependencies(tree, rel, module, config))
-        findings.extend(check_layering(
-            tree, rel, module, is_package=is_package, config=config))
+            findings.extend(check_dependencies(facts, config))
+        findings.extend(check_layering(facts, config))
         if registry is not None:
             findings.extend(check_emissions(tree, rel, registry))
         findings.extend(check_async(tree, module, rel, config))
-        facts = extract_facts(tree, module, rel, is_package,
-                              suppressions.by_line())
     return suppressions.filter(findings), facts
-
-
-def lint_file(path: Path, config: Config,
-              registry: Optional[SchemaRegistry]) -> List[Finding]:
-    """Per-file findings only (suppressions applied) — phase 1's view.
-
-    Raises ``SyntaxError``/``OSError`` upward — unparseable input is
-    the caller's exit-2 case, not a finding.
-    """
-    findings, _ = analyze_source(path.read_text(), path, config, registry)
-    return findings
 
 
 def _whole_program_findings(index: ProgramIndex, config: Config,

@@ -23,12 +23,10 @@ _SCHEMA_URI = (
 #: One-line rule descriptions for the SARIF rule table.  Keep in sync
 #: with the reference table in DESIGN.md.
 RULE_DESCRIPTIONS: Dict[str, str] = {
-    "DOM101": "wall-clock read in sim-layer code",
-    "DOM102": "process-global or unseeded RNG in sim-layer code",
+    "DOM101": "wall-clock value reaches sim code, directly or via calls",
+    "DOM102": "unseeded or process-global RNG value reaches sim code",
     "DOM103": "iteration over an unordered container into sim state",
     "DOM104": "float accumulation hazard in sim-layer reductions",
-    "DOM105": "wall-clock taint reaches sim code through call hops",
-    "DOM106": "RNG taint reaches sim code through call hops",
     "DOM201": "import violates the declared layering DAG",
     "DOM202": "package missing from the layering DAG",
     "DOM203": "package import cycle or transitive layering escape",

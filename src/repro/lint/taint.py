@@ -1,19 +1,30 @@
-"""DOM1xx-flow — interprocedural wall-clock / RNG taint.
+"""DOM101/DOM102 — wall-clock and RNG values reaching sim code.
 
-DOM101/DOM102 are syntactic: they fire when a sim-layer file *itself*
-spells out ``time.time()`` or ``random.random()``.  They are blind to
-laundering — a helper (possibly in a layer the determinism contract
-does not cover) that reads the clock and hands the value up a call
-chain into simulation state.  These rules close that hole:
+Everything the scheduler, MAC and event loop compute must be a pure
+function of the seed: the digest tests (byte-identical JSONL per seed)
+and everything built on them — conversion caching, parallel sweeps,
+causal spans — depend on it.  One rule per hazard:
 
-DOM105
-    A sim-layer function calls a first-party function whose return
-    value derives — through any number of assignments, returns and
-    call hops — from a wall-clock or process-unique source.
-DOM106
-    Same, for the process-global / unseeded RNG sources.
+DOM101
+    A wall-clock or process-unique value (``time.time``,
+    ``perf_counter``, ``datetime.now``, ``uuid.uuid4``...) reaches sim
+    code: a sim module imports ``time``/``uuid``, calls a source
+    directly, or calls a first-party function whose return value
+    derives from one — through any number of assignments, returns and
+    call hops.  Profiling belongs in the telemetry layer
+    (``repro.telemetry.wallclock``), never in sim logic.
+DOM102
+    The same for process-global or unseeded randomness (``random.*``
+    module functions, ``random.Random()`` with no seed,
+    ``np.random.*``).  Every stream must derive from ``Simulator.rng``
+    or an explicit seed — the
+    ``random.Random(sim.rng.getrandbits(64))`` ownership pattern.
 
-The engine is a classic two-level summary analysis:
+Sources are classified once, by :func:`source_kind`, on the
+alias-resolved spelling the facts extractor hands it: ``from time
+import perf_counter as pc; pc()`` is a read, a sanitizer accessor
+imported under a clock-like name is not.  Hop chains come from a
+classic two-level summary analysis:
 
 * **intra** (:func:`intra_taint`): per function, a flow-insensitive
   fixpoint over local assignments answers "does the return value
@@ -49,10 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: Taint kinds and the rule each maps to.
 KIND_WALLCLOCK = "wallclock"
 KIND_RNG = "rng"
-KIND_RULES = {KIND_WALLCLOCK: "DOM105", KIND_RNG: "DOM106"}
+KIND_RULES = {KIND_WALLCLOCK: "DOM101", KIND_RNG: "DOM102"}
 
 #: Fully-resolved dotted calls that read the wall clock or mint
-#: process-unique values (the DOM101 table, post alias resolution).
+#: process-unique values.
 _WALLCLOCK_SOURCES = {
     "time.time", "time.time_ns",
     "time.perf_counter", "time.perf_counter_ns",
@@ -60,6 +71,7 @@ _WALLCLOCK_SOURCES = {
     "time.process_time", "time.process_time_ns",
     "uuid.uuid1", "uuid.uuid4",
 }
+#: ``<datetime-ish>.now()`` / ``.utcnow()`` / ``.today()`` receivers.
 _DATETIME_ROOTS = {"datetime", "date"}
 _DATETIME_METHODS = {"now", "utcnow", "today"}
 
@@ -69,6 +81,29 @@ _GLOBAL_RANDOM_FNS = {
     "sample", "shuffle", "uniform", "triangular", "betavariate",
     "expovariate", "gammavariate", "gauss", "lognormvariate",
     "normalvariate", "vonmisesvariate", "paretovariate", "weibullvariate",
+    "seed",
+}
+
+#: Source label (what :func:`source_kind` returns) -> (taint kind,
+#: what the direct-read finding says after the call's spelling).
+SOURCES: Dict[str, Tuple[str, str]] = {
+    "clock": (KIND_WALLCLOCK,
+              "reads the wall clock (or mints a process-unique id); sim "
+              "logic must derive every value from sim.now or the seeded "
+              "RNG"),
+    "datetime": (KIND_WALLCLOCK,
+                 "reads the wall clock; sim logic must use sim.now "
+                 "(microseconds since run start)"),
+    "global-rng": (KIND_RNG,
+                   "uses the process-global RNG; derive an owned stream: "
+                   "random.Random(sim.rng.getrandbits(64))"),
+    "unseeded": (KIND_RNG,
+                 "without a seed draws entropy from the OS; pass a seed "
+                 "derived from Simulator.rng"),
+    "numpy": (KIND_RNG,
+              "uses numpy's process-global RNG state; use "
+              "np.random.default_rng(seed) with an explicit seed or draw "
+              "from a random.Random owned by the simulator"),
 }
 
 #: A taint token: a source kind, or a dependency on a callee's return.
@@ -76,42 +111,62 @@ Token = Union[str, Tuple[str, str]]
 
 
 def source_kind(resolved: str, call: ast.Call) -> Optional[str]:
-    """Taint kind of a direct source call, or ``None``."""
+    """The :data:`SOURCES` label of a direct source call, or ``None``.
+
+    ``resolved`` is the call's spelling with its leading import alias
+    expanded, so the table only lists canonical names.
+    """
     parts = resolved.split(".")
     if resolved in _WALLCLOCK_SOURCES:
-        return KIND_WALLCLOCK
+        return "clock"
     if (len(parts) >= 2 and parts[-1] in _DATETIME_METHODS
             and parts[-2] in _DATETIME_ROOTS):
-        return KIND_WALLCLOCK
+        return "datetime"
     if len(parts) == 2 and parts[0] == "random" \
             and parts[1] in _GLOBAL_RANDOM_FNS:
-        return KIND_RNG
+        return "global-rng"
     if resolved == "random.Random" and not call.args and not call.keywords:
-        return KIND_RNG
+        return "unseeded"
     if len(parts) >= 3 and parts[0] == "numpy" and parts[1] == "random":
         if parts[2] == "default_rng" and (call.args or call.keywords):
             return None  # explicitly seeded generator
-        return KIND_RNG
+        return "numpy"
     return None
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+def _banned_import(target: str) -> Optional[Tuple[str, str]]:
+    """(rule, message) for a sim-module import of a source module."""
+    head, _, name = target.partition(".")
+    if target in ("time", "uuid"):
+        return "DOM101", (
+            f"sim-logic layers must not import '{target}': wall-clock "
+            f"and process-unique values break the byte-identical-per-seed "
+            f"contract (route timing through repro.telemetry instead)")
+    if head == "time":
+        return "DOM101", (
+            "sim-logic layers must not import from 'time': wall-clock "
+            "reads vary run to run (route timing through "
+            "repro.telemetry instead)")
+    if head == "uuid":
+        return "DOM101", (
+            "sim-logic layers must not import from 'uuid': uuids are "
+            "process-unique and poison deterministic traces")
+    if head == "random" and name in _GLOBAL_RANDOM_FNS:
+        return "DOM102", (
+            f"'from random import {name}' binds the process-global RNG "
+            f"stream; derive a seeded random.Random from Simulator.rng "
+            f"instead")
+    return None
 
 
 class _IntraTaint:
     """Flow-insensitive local taint environment for one function."""
 
-    def __init__(self, scope: "_Scope", cls: Optional[str]):
+    def __init__(self, scope: "_Scope", cls: Optional[str],
+                 sources: Dict[ast.Call, str]):
         self.scope = scope
         self.cls = cls
+        self.sources = sources
         self.env: Dict[str, Set[Token]] = {}
         self.returned: Set[Token] = set()
 
@@ -160,19 +215,18 @@ class _IntraTaint:
         return set()
 
     def _call(self, node: ast.Call) -> Set[Token]:
-        from .callgraph import resolve_call
+        from .callgraph import dotted_name, resolve_call
 
         out: Set[Token] = set()
-        dotted = _dotted(node.func)
-        if dotted is not None:
-            resolved_source = self.scope.resolve(dotted)
-            kind = source_kind(resolved_source, node)
-            if kind is not None:
-                out.add(kind)
-            else:
-                callee = resolve_call(dotted, self.scope, self.cls)
-                if callee is not None:
-                    out.add(("dep", callee))
+        source = self.sources.get(node)
+        if source is not None:
+            out.add(SOURCES[source][0])
+        else:
+            dotted = dotted_name(node.func)
+            callee = None if dotted is None \
+                else resolve_call(dotted, self.scope, self.cls)
+            if callee is not None:
+                out.add(("dep", callee))
         # A function of a tainted value is tainted (str(), round(), ...).
         for arg in node.args:
             out |= self.expr(arg)
@@ -239,16 +293,20 @@ def _body_statements(node: ast.AST) -> List[ast.stmt]:
     return out
 
 
-def intra_taint(func: ast.AST, scope: "_Scope",
-                cls: Optional[str]) -> Tuple[Set[str], Set[str]]:
+def intra_taint(func: ast.AST, scope: "_Scope", cls: Optional[str],
+                sources: Dict[ast.Call, str],
+                ) -> Tuple[Set[str], Set[str]]:
     """(direct source kinds, callee deps) flowing into the return.
+
+    ``sources`` maps the module's source calls to their labels, as
+    classified once by the facts extractor.
 
     Iterates the statement list to a fixpoint so use-before-def order
     and loops don't hide a flow; bounded to a handful of rounds — the
     lattice height is tiny.
     """
     statements = _body_statements(func)
-    analysis = _IntraTaint(scope, cls)
+    analysis = _IntraTaint(scope, cls, sources)
     for _ in range(8):
         before = {name: set(tokens)
                   for name, tokens in analysis.env.items()}
@@ -331,13 +389,26 @@ _SOURCE_LABEL = {
 
 
 def check_taint(index: "ProgramIndex", config: "Config") -> List[Finding]:
-    """DOM105/DOM106 findings at sim-layer call sites."""
+    """DOM101/DOM102 in sim modules: banned imports, direct source
+    calls, and calls whose callee returns a tainted value."""
     kinds, provenance = propagate(index, config)
+    sanitizers = ", ".join(config.taint_sanitizers) \
+        or "a sanctioned telemetry accessor"
     findings: List[Finding] = []
     for module in sorted(index.modules):
         if not config.in_sim_packages(module):
             continue
         facts = index.modules[module]
+        for edge in facts.imports:
+            banned = _banned_import(edge.target)
+            if banned is not None:
+                findings.append(Finding(facts.path, edge.lineno, edge.col,
+                                        *banned))
+        for call in facts.sources:
+            kind, reason = SOURCES[call.source]
+            findings.append(Finding(facts.path, call.lineno, call.col,
+                                    KIND_RULES[kind],
+                                    f"'{call.raw}()' {reason}"))
         for qname in sorted(facts.functions):
             for site in facts.functions[qname].calls:
                 if site.callee is None:
@@ -351,8 +422,6 @@ def check_taint(index: "ProgramIndex", config: "Config") -> List[Finding]:
                     continue
                 for kind in sorted(kinds.get(resolved.qname, ())):
                     chain = _chain(resolved.qname, kind, provenance)
-                    sanitizers = ", ".join(config.taint_sanitizers) \
-                        or "a sanctioned telemetry accessor"
                     findings.append(Finding(
                         path=facts.path,
                         line=site.lineno,
@@ -372,6 +441,6 @@ def check_taint(index: "ProgramIndex", config: "Config") -> List[Finding]:
 
 
 __all__ = [
-    "KIND_RNG", "KIND_RULES", "KIND_WALLCLOCK", "check_taint",
+    "KIND_RNG", "KIND_RULES", "KIND_WALLCLOCK", "SOURCES", "check_taint",
     "intra_taint", "propagate", "source_kind",
 ]

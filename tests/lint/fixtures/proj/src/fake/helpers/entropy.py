@@ -1,4 +1,4 @@
-"""Process-global RNG laundering helpers (the DOM106 supply chain)."""
+"""Process-global RNG laundering helpers (bad_dom106.py's supply chain)."""
 
 import random
 

@@ -1,8 +1,8 @@
-"""Wall-clock laundering helpers (the DOM105 fixture's supply chain).
+"""Wall-clock laundering helpers (bad_dom105.py's supply chain).
 
 This module is *not* in sim-packages, so DOM101 has no opinion about
-it — which is the whole point: the clock read hides here, two call
-hops away from the sim code that consumes it.
+its own clock read — which is the whole point: the read hides here,
+two call hops away from the sim code that consumes it.
 """
 
 import time

@@ -1,7 +1,7 @@
-"""DOM105 fixture: wall-clock taint arrives through two call hops.
+"""DOM101 fixture: wall-clock taint arrives through two call hops.
 
-Nothing in this file touches ``time`` — the syntactic DOM101 pass is
-clean by construction.  The dataflow engine must follow
+Nothing in this file touches ``time`` — there is no direct read to
+flag.  The dataflow engine must follow
 ``jittered_now -> read_clock -> time.time()`` to flag the call.
 """
 

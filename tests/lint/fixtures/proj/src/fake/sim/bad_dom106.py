@@ -1,4 +1,4 @@
-"""DOM106 fixture: RNG taint laundered through helper calls."""
+"""DOM102 fixture: RNG taint laundered through helper calls."""
 
 from ..helpers.entropy import reroll
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from repro.lint import load_config, main
 from repro.lint.cache import LintCache, cache_salt
 from repro.lint.cfg import await_crossed, build_cfg, guarded_statements
-from repro.lint.determinism import check_determinism
+from repro.lint.callgraph import extract_facts
 from repro.lint.runner import lint_paths
 
 from .conftest import PROJ, run_lint
@@ -20,30 +20,33 @@ from .conftest import PROJ, run_lint
 # Taint: what the syntactic pass cannot see
 # ----------------------------------------------------------------------
 def test_old_determinism_pass_misses_laundered_clock(proj_config):
-    """The headline case: DOM101 is clean on the file, DOM105 is not.
+    """The headline case: no direct read in the file, DOM101 anyway.
 
     ``bad_dom105.py`` reaches ``time.time()`` only through two call
-    hops in another package; the per-file rule family has nothing to
-    say about it.
+    hops in another package; the file itself holds no source call, so
+    only the hop analysis can flag it — under the same rule ID as a
+    direct read.
     """
     source = (PROJ / "src/fake/sim/bad_dom105.py").read_text()
-    tree = ast.parse(source)
-    assert check_determinism(tree, "bad_dom105.py") == []
+    facts = extract_facts(ast.parse(source), "fake.sim.bad_dom105",
+                          "bad_dom105.py", False, {})
+    assert facts.sources == []
 
     code, err = run_lint([PROJ / "src/fake/sim/bad_dom105.py"],
                          proj_config)
     assert code == 1
-    assert "DOM105" in err
+    [line] = err.splitlines()
+    assert " DOM101 " in line
     # The finding names the full laundering chain.
-    assert "fake.helpers.lure.jittered_now" in err
-    assert "fake.helpers.lure.read_clock" in err
+    assert ("via fake.helpers.lure.jittered_now -> "
+            "fake.helpers.lure.read_clock") in line
 
 
 def test_taint_finding_lands_on_the_call_site(proj_config):
     code, err = run_lint([PROJ / "src/fake/sim/bad_dom106.py"],
                          proj_config)
     assert code == 1
-    line = [l for l in err.splitlines() if "DOM106" in l][0]
+    line = [l for l in err.splitlines() if "DOM102" in l][0]
     assert line.startswith("src/fake/sim/bad_dom106.py:7:")
     assert "reroll" in line
 
@@ -59,7 +62,7 @@ def test_whole_program_finding_honours_inline_suppression(proj_config):
     source = (PROJ / "src/fake/sim/bad_dom105.py").read_text()
     silenced = source.replace(
         "frame_time = jittered_now()",
-        "frame_time = jittered_now()  # dominolint: disable=DOM105")
+        "frame_time = jittered_now()  # dominolint: disable=DOM101")
     target = PROJ / "src/fake/sim/tmp_suppressed_taint.py"
     target.write_text(silenced)
     try:
@@ -199,7 +202,7 @@ def test_sarif_document_on_stdout(proj_config):
     results = doc["runs"][0]["results"]
     rule_ids = {r["ruleId"] for r in results}
     # Every family represented in the fixture tree shows up.
-    for rule in ("DOM101", "DOM105", "DOM106", "DOM201", "DOM202",
+    for rule in ("DOM101", "DOM102", "DOM201", "DOM202",
                  "DOM203", "DOM301", "DOM401", "DOM501", "DOM502",
                  "DOM503"):
         assert rule in rule_ids, rule

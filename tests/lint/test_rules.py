@@ -12,8 +12,8 @@ BAD_FIXTURES = [
     ("src/fake/sim/bad_dom102.py", "DOM102"),
     ("src/fake/sim/bad_dom103.py", "DOM103"),
     ("src/fake/sim/bad_dom104.py", "DOM104"),
-    ("src/fake/sim/bad_dom105.py", "DOM105"),
-    ("src/fake/sim/bad_dom106.py", "DOM106"),
+    ("src/fake/sim/bad_dom105.py", "DOM101"),
+    ("src/fake/sim/bad_dom106.py", "DOM102"),
     ("src/fake/sim/bad_dom401.py", "DOM401"),
     ("src/fake/util/bad_dom201.py", "DOM201"),
     ("src/fake/rogue/bad_dom202.py", "DOM202"),
