@@ -25,7 +25,13 @@ from the medium) and the MAC.  It implements:
   to the MAC with their interference context; detection is decided by
   the MAC's calibrated models.
 
-Half duplex: a transmitting radio hears nothing, including triggers.
+Half duplex: a transmitting or sleeping radio hears nothing, including
+triggers.
+
+Every frame in the air is a term of the incoming power sum, but the
+radio keeps a :class:`Reception` only for what the MAC can read: the
+locked frame and the correlation-path frames.  A data frame that does
+not lock is only a power term.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(slots=True)
 class Reception:
-    """Book-keeping for one frame being tracked at this radio."""
+    """Book-keeping for the locked frame or a correlation-path frame."""
 
     tx: Transmission
     rss_dbm: float
@@ -59,7 +65,9 @@ class Reception:
     # any point in its airtime (TRIGGER frames only).  The trigger
     # detection model degrades with this count (Fig. 9).
     max_overlapping_signatures: int = 0
-    interrupted_by_tx: bool = False
+    # A correlation-path frame that the radio's own transmission or
+    # sleep cut (wholly or partly) is never handed to the MAC.
+    interrupted: bool = False
     # Running maximum of the interference power (total incoming minus
     # this frame, noise excluded) seen over the airtime.  Negative
     # means "never refreshed" and leaves ``min_sinr_db`` at +inf.
@@ -70,9 +78,7 @@ class Reception:
         """Minimum SINR over the airtime so far.
 
         Derived from the worst-case interference on read: log10 is
-        monotone, so the worst step in mW is the worst step in dB.  Only
-        the readers (an uninterrupted TRIGGER and the locked frame) pay
-        the two log10 calls, not every tracked frame.
+        monotone, so the worst step in mW is the worst step in dB.
         """
         if self.max_interference_mw < 0.0:
             return float("inf")
@@ -88,17 +94,23 @@ class Radio:
         self.medium = medium
         self.profile: PhyProfile = medium.profile
         self.mac: Optional["Mac"] = None
-        # All energy currently arriving, keyed by transmission uid, and
-        # its RSS in mW under the same keys in the same order: every
-        # power total is ``sum()`` over ``_incoming_mw``'s values.
-        self._incoming: Dict[int, Reception] = {}
+        # RSS in mW of all energy currently arriving, keyed by
+        # transmission uid in arrival order: every power total is
+        # ``sum()`` over its values.
         self._incoming_mw: Dict[int, float] = {}
         self._lock: Optional[Reception] = None
+        # TRIGGER and QUEUE_REPORT frames in the air, interrupted or
+        # not, and the uninterrupted TRIGGERs: with the lock, the only
+        # frames whose interference is tracked.
+        self._correlated: Dict[int, Reception] = {}
+        self._live_triggers: Dict[int, Reception] = {}
         self._own_tx: Optional[Transmission] = None
         self._cs_busy = False
+        self._sim = medium.sim
         self._noise_mw = self.profile.noise_mw()
         self._cs_mw = dbm_to_mw(self.profile.cs_threshold_dbm)
         self._sensitivity_dbm = self.profile.sensitivity_dbm
+        self._preamble_us = self.profile.preamble_us
         self._capture_factor = dbm_to_mw(self.profile.capture_margin_db)
         # Power save (Sec. 5 energy saving): while asleep the radio
         # hears nothing; the MAC schedules sleep windows it knows are
@@ -117,26 +129,24 @@ class Radio:
 
     @property
     def asleep(self) -> bool:
-        return self.medium.sim.now < self._sleep_until
+        return self._sim.now < self._sleep_until
 
     def sleep_until(self, wake_time: float) -> float:
         """Power the receiver down until ``wake_time``.
 
         Returns the additional sleep time granted.  Sleeping while
-        transmitting is refused (zero granted).
+        transmitting is refused (zero granted).  Like a transmission,
+        a granted sleep abandons every reception in progress.
         """
         if self._own_tx is not None:
             return 0.0
-        now = self.medium.sim.now
-        previous = max(self._sleep_until, now)
+        previous = max(self._sleep_until, self._sim.now)
         if wake_time <= previous:
             return 0.0
         granted = wake_time - previous
         self._sleep_until = wake_time
         self.total_sleep_us += granted
-        if self._lock is not None:
-            self._lock.interrupted_by_tx = True  # reception abandoned
-            self._lock = None
+        self._interrupt()
         return granted
 
     @property
@@ -159,13 +169,7 @@ class Radio:
         """Start transmitting ``frame``.  Aborts any ongoing reception."""
         if self._own_tx is not None:
             raise RuntimeError(f"node {self.node_id} is already transmitting")
-        if self._lock is not None:
-            # Switching to TX mid-reception destroys the reception.
-            self._lock.interrupted_by_tx = True
-            self._lock = None
-        for rec in self._incoming.values():
-            # Anything arriving while we transmit is unhearable.
-            rec.interrupted_by_tx = True
+        self._interrupt()
         tx = self.medium.transmit(self.node_id, frame)
         self._own_tx = tx
         self._update_cs()
@@ -177,138 +181,131 @@ class Radio:
         if self.mac is not None:
             self.mac.on_tx_end(tx.frame)
 
+    def _interrupt(self) -> None:
+        """Abandon every reception in progress (switching to TX or
+        sleep): the lock is dropped and no correlation-path frame in
+        the air reaches the MAC."""
+        self._lock = None
+        for rec in self._correlated.values():
+            rec.interrupted = True
+        self._live_triggers.clear()
+
     # ------------------------------------------------------------------
     # Energy events from the medium
     # ------------------------------------------------------------------
     def on_energy_start(self, tx: Transmission, rss_dbm: float, rss_mw: float) -> None:
+        """Add the frame to the power sum; give it a :class:`Reception`
+        only if it locks or is on the correlation path.  Refresh the
+        interference of the lock and the live TRIGGERs; with neither and
+        carrier sense busy (busy stays busy when a term is added), skip
+        the sum."""
+        uid = tx.uid
+        incoming = self._incoming_mw
+        incoming[uid] = rss_mw
         frame = tx.frame
         kind = frame.kind
-        n_signatures = 0
-        if kind is FrameKind.TRIGGER:
-            n_signatures = tx.n_signatures
-            if n_signatures < 0:
-                n_signatures = tx.n_signatures = max(
-                    1, len(frame.trigger_targets())
-                    + len(frame.meta.get("rop_polls", ())))
-        rec = Reception(tx, rss_dbm, rss_mw, self._noise_mw, n_signatures)
-        uid = tx.uid
-        self._incoming[uid] = rec
-        self._incoming_mw[uid] = rss_mw
-        if self._own_tx is not None or self.medium.sim.now < self._sleep_until:
-            rec.interrupted_by_tx = True
-        elif (not n_signatures and kind is not FrameKind.QUEUE_REPORT
-              and rss_dbm >= self._sensitivity_dbm):
-            self._maybe_lock(rec)
-        total = sum(self._incoming_mw.values())
-        self._refresh_sinrs(total, n_signatures > 0)
+        deaf = self._own_tx is not None or self._sim.now < self._sleep_until
+        trigger_started = kind is FrameKind.TRIGGER
+        if trigger_started or kind is FrameKind.QUEUE_REPORT:
+            n_signatures = 0
+            if trigger_started:
+                n_signatures = tx.n_signatures
+                if n_signatures < 0:
+                    n_signatures = tx.n_signatures = max(
+                        1, len(frame.trigger_targets())
+                        + len(frame.meta.get("rop_polls", ())))
+            rec = Reception(tx, rss_dbm, rss_mw, self._noise_mw,
+                            n_signatures, interrupted=deaf)
+            self._correlated[uid] = rec
+            if trigger_started and not deaf:
+                self._live_triggers[uid] = rec
+        elif not deaf and rss_dbm >= self._sensitivity_dbm:
+            lock = self._lock
+            # Preamble capture: a much stronger frame arriving while the
+            # current lock is still in its preamble steals the receiver
+            # (the old frame is lost).
+            if lock is None or (
+                    self._sim.now - lock.tx.start <= self._preamble_us
+                    and rss_mw >= lock.rss_mw * self._capture_factor):
+                self._lock = Reception(tx, rss_dbm, rss_mw, self._noise_mw)
+        lock = self._lock
+        live = self._live_triggers
+        if lock is None and not live and self._cs_busy:
+            return
+        total = sum(incoming.values())
+        if lock is not None:
+            interference = total - lock.rss_mw
+            if interference > lock.max_interference_mw:
+                lock.max_interference_mw = interference
+        for rec in live.values():
+            interference = total - rec.rss_mw
+            if interference > rec.max_interference_mw:
+                rec.max_interference_mw = interference
+        if trigger_started and live:
+            # Only a starting TRIGGER adds signatures to the air.  Those
+            # that matter to the correlator are of comparable power:
+            # bursts more than 10 dB below this one are negligible
+            # interference (Fig. 9's combining limit is about same-order
+            # waveforms).  Interrupted TRIGGERs are still on the air, so
+            # they count.
+            correlated = self._correlated.values()
+            for rec in live.values():
+                floor_mw = rec.rss_mw / 10.0
+                signatures = 0
+                for other in correlated:
+                    if other.rss_mw >= floor_mw:
+                        signatures += other.n_signatures
+                if signatures > rec.max_overlapping_signatures:
+                    rec.max_overlapping_signatures = signatures
         if not self._cs_busy:
-            # Busy stays busy when a term is added (see _update_cs).
             self._update_cs(total)
 
     def on_energy_end(self, tx: Transmission, rss_dbm: float, rss_mw: float) -> None:
+        """Drop the frame from the power sum and deliver it if it is the
+        lock or an uninterrupted correlation-path frame.  Dropping a
+        non-negative term cannot raise a float sum, so no interference
+        maximum grows here and nothing is refreshed."""
         uid = tx.uid
-        rec = self._incoming.pop(uid, None)
-        if rec is None:  # registered after our TX started; still tracked
+        if self._incoming_mw.pop(uid, None) is None:
             return
-        del self._incoming_mw[uid]
-        # No SINR refresh here: it would be a no-op (see _refresh_sinrs).
         # Carrier sense re-sums only when busy from energy: idle stays
         # idle when a term is dropped, and transmitting stays busy.
         if self._cs_busy and self._own_tx is None:
             self._update_cs()
-        self._deliver(rec)
-
-    # ------------------------------------------------------------------
-    # Locking and SINR
-    # ------------------------------------------------------------------
-    def _maybe_lock(self, rec: Reception) -> None:
-        """Lock onto ``rec`` unless a lock is held past its preamble.
-
-        The caller has already rejected what can never lock: the
-        correlation path (TRIGGER, QUEUE_REPORT), frames arriving while
-        transmitting or asleep, and frames below sensitivity.
-        """
+        mac = self.mac
         lock = self._lock
-        if lock is None:
-            self._lock = rec
-            return
-        # Preamble capture: a much stronger frame arriving while the
-        # current lock is still in its preamble steals the receiver.
-        if (self.medium.sim.now - lock.tx.start <= self.profile.preamble_us
-                and rec.rss_mw >= lock.rss_mw * self._capture_factor):
-            lock.interrupted_by_tx = True  # old frame is lost
-            self._lock = rec
-
-    def _refresh_sinrs(self, total: float, trigger_started: bool) -> None:
-        """Update the running worst-case interference of every tracked
-        frame at a start edge (``total`` is the summed incoming power).
-
-        Only the interference *power* is tracked per edge; the dB-space
-        minimum SINR is derived from it when read
-        (:attr:`Reception.min_sinr_db`).
-
-        End edges never refresh: dropping one non-negative term from a
-        left-to-right float sum cannot raise it (rounding is monotone;
-        for the compensated ``sum()`` of Python 3.12+ this is checked by
-        the oracle tests, not proved), so no interference total grows
-        there.  Likewise the set of overlapping signatures only grows
-        when a TRIGGER starts, so overlap counts are recounted only at
-        those edges.
-        """
-        recs = self._incoming.values()
-        for rec in recs:
-            interference = total - rec.rss_mw
-            if interference > rec.max_interference_mw:
-                rec.max_interference_mw = interference
-        if not trigger_started:
-            return
-        trigger_recs = [r for r in recs if r.n_signatures]
-        for rec in trigger_recs:
-            # Signatures that matter to the correlator are those of
-            # comparable power: bursts more than 10 dB below this one
-            # are negligible interference (Fig. 9's combining limit is
-            # about same-order waveforms).
-            floor_mw = rec.rss_mw / 10.0
-            signatures = 0
-            for other in trigger_recs:
-                if other.rss_mw >= floor_mw:
-                    signatures += other.n_signatures
-            if signatures > rec.max_overlapping_signatures:
-                rec.max_overlapping_signatures = signatures
-
-    def _deliver(self, rec: Reception) -> None:
-        if self.mac is None:
-            return
-        frame = rec.tx.frame
-        if frame.kind is FrameKind.TRIGGER:
-            if not rec.interrupted_by_tx:
-                self.mac.on_trigger(frame, rec.min_sinr_db, rec.rss_dbm,
-                                    rec.max_overlapping_signatures)
-            return
-        if frame.kind is FrameKind.QUEUE_REPORT:
-            if not rec.interrupted_by_tx:
-                self.mac.on_queue_report(frame, rec.rss_dbm)
-            return
-        if self._lock is not None and self._lock.tx.uid == rec.tx.uid:
+        if lock is not None and lock.tx is tx:
+            # A held lock is never interrupted: transmit, sleep and
+            # preamble capture all release or replace it.
             self._lock = None
-            threshold = self.profile.frame_sinr_threshold_db(frame)
-            ok = (not rec.interrupted_by_tx) and rec.min_sinr_db >= threshold
+            if mac is None:
+                return
+            frame = tx.frame
+            ok = lock.min_sinr_db >= self.profile.frame_sinr_threshold_db(frame)
             tel = self._trace
             if tel.enabled:
-                now = self.medium.sim.now
                 if ok:
-                    tel.frame_rx(now, self.node_id, frame)
+                    tel.frame_rx(self._sim.now, self.node_id, frame)
                 else:
-                    reason = ("tx_busy" if rec.interrupted_by_tx else "sinr")
-                    tel.frame_drop(now, self.node_id, frame, reason)
-                    if reason == "sinr":
-                        # A locked frame whose SINR dipped below
-                        # threshold is the simulator's collision.
-                        tel.metrics.counter("radio.collisions").inc()
+                    tel.frame_drop(self._sim.now, self.node_id, frame, "sinr")
+                    # A locked frame whose SINR dipped below threshold
+                    # is the simulator's collision.
+                    tel.metrics.counter("radio.collisions").inc()
             if ok:
-                self.mac.on_receive(frame, rec.rss_dbm)
+                mac.on_receive(frame, lock.rss_dbm)
             else:
-                self.mac.on_receive_failed(frame, rec.rss_dbm)
+                mac.on_receive_failed(frame, lock.rss_dbm)
+            return
+        rec = self._correlated.pop(uid, None)
+        if rec is None or rec.interrupted:
+            return
+        if rec.n_signatures:  # a TRIGGER (it has at least one)
+            del self._live_triggers[uid]
+            if mac is not None:
+                mac.on_trigger(tx.frame, rec.min_sinr_db, rec.rss_dbm,
+                               rec.max_overlapping_signatures)
+        elif mac is not None:
+            mac.on_queue_report(tx.frame, rec.rss_dbm)
 
     # ------------------------------------------------------------------
     # Carrier sense edge detection
@@ -318,7 +315,7 @@ class Radio:
 
         Energy edges call this only where the verdict can flip: adding
         a term to the incoming sum never lowers it, dropping one never
-        raises it (the same monotonicity as in :meth:`_refresh_sinrs`).
+        raises it.
         """
         if self._own_tx is not None:
             busy = True
@@ -338,4 +335,4 @@ class Radio:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "tx" if self.transmitting else ("rx" if self.receiving else "idle")
-        return f"Radio(node={self.node_id}, {state}, incoming={len(self._incoming)})"
+        return f"Radio(node={self.node_id}, {state}, incoming={len(self._incoming_mw)})"

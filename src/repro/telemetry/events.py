@@ -118,11 +118,12 @@ class FrameRx(TraceEvent):
 
 @dataclass(frozen=True)
 class FrameDrop(TraceEvent):
-    """A tracked frame was lost at a receiver.
+    """A locked frame was lost at a receiver.
 
-    ``reason`` is one of ``sinr`` (collision / low SINR), ``tx_busy``
-    (the receiver was transmitting or asleep — half duplex), matching
-    the radio's two failure modes.
+    The radio emits only ``reason="sinr"``: the frame's SINR dipped
+    below the rate's threshold (the simulator's collision).  A lock is
+    never interrupted by the radio's own transmission or sleep, which
+    release it instead, so there is no other failure mode to report.
     """
 
     node: int

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
-from repro.sim.packet import data_frame
+from repro.sim.packet import Frame, FrameKind, data_frame
 from repro.sim.phy import DOT11G
 from repro.sim.radio import Radio
 
@@ -12,6 +12,7 @@ from repro.sim.radio import Radio
 class SinkMac:
     def __init__(self):
         self.received = []
+        self.triggers = []
 
     def on_receive(self, frame, rss_dbm):
         self.received.append(frame)
@@ -19,8 +20,8 @@ class SinkMac:
     def on_receive_failed(self, frame, rss_dbm):
         pass
 
-    def on_trigger(self, *args):
-        pass
+    def on_trigger(self, frame, *args):
+        self.triggers.append(frame)
 
     def on_queue_report(self, *args):
         pass
@@ -87,3 +88,15 @@ def test_sleep_abandons_ongoing_reception():
     rx.sleep_until(5_000.0)
     sim.run(until=6_000.0)
     assert mac.received == []
+
+
+def test_sleep_interrupts_trigger_in_the_air():
+    sim, tx, rx, mac = build()
+    tx.transmit(Frame(kind=FrameKind.TRIGGER, src=0, dst=None,
+                      meta={"targets": frozenset({1}), "slot": 0}))
+    # A nap shorter than the trigger: the radio is awake again at its
+    # end edge, but the trigger was cut and never reaches the MAC.
+    assert rx.sleep_until(1.0) == pytest.approx(1.0)
+    sim.run(until=1_000.0)
+    assert not rx.asleep
+    assert mac.triggers == []
