@@ -6,8 +6,9 @@ walks into the other cell's interference range: the controller's
 snapshot map is now stale and it keeps scheduling the two links in the
 same slots, so the victim link's frames die mid-air.  A beacon
 measurement campaign (two-hop-coloured rounds, client reports relayed
-through the APs) rediscovers the conflict; the rebuilt schedule
-separates the links and throughput recovers.
+through the APs) rediscovers the conflict; the controller patches its
+conflict graph around the measured nodes, the next schedule separates
+the links and throughput recovers.
 
 Run:  python examples/mobility_healing.py
 """
@@ -83,9 +84,9 @@ def main():
     sim.run(until=700_000.0)
     print(f"\n*** beacon campaign: "
           f"{net.controller.last_campaign_updates} RSS entries "
-          "refreshed; conflict graph rebuilt ***\n")
+          "refreshed; conflict graph patched in place ***\n")
     show("phase 3: refreshed schedule", window(1_100_000.0))
-    conflict = net.controller.imap.conflicts(Link(0, 1), Link(2, 3))
+    conflict = net.controller.plane.imap.conflicts(Link(0, 1), Link(2, 3))
     print(f"\ncontroller now knows the links conflict: {conflict} "
           "(they alternate slots)")
 

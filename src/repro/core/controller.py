@@ -20,24 +20,20 @@ constructor used by examples, tests and benchmarks: topology in,
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..topology.interference_map import InterferenceMap
-from ..sched.rand_scheduler import RandScheduler
 from ..sim.engine import Event, Simulator
 from ..sim.medium import Medium
 from ..sim.wire import WiredBackbone
 from ..topology.builder import Topology
-from ..topology.conflict_graph import build_conflict_graph
 from ..topology.links import Link
 from .coexistence import CoexistenceConfig, CoexistencePlanner
-from .conversion_cache import ConversionCache, conversion_topology_key
-from .converter import ConverterConfig, ScheduleConverter
-from .relative_schedule import (NodeProgram, RelativeBatch, TriggerDuty,
-                                build_programs)
+from .control_plane import ControlPlane, link_universe
+from .converter import ConverterConfig
+from .relative_schedule import NodeProgram, RelativeBatch, build_programs
 from .rop import RopDecoder, plan_subchannels
 from .domino_mac import DominoMac
 from .trigger_model import TriggerDetectionModel
@@ -77,47 +73,29 @@ class DominoController:
         self.macs = macs
         self.config = config if config is not None else ControllerConfig()
         self._trace = telemetry.current()
+        universe = link_universe(topology)
+        converter = self.config.converter
+        if self.config.energy_constrained:
+            # Sleeping clients must not be woken by fake filler.
+            converter = dataclasses.replace(
+                converter,
+                fake_exclude_nodes=frozenset(self.config.energy_constrained))
         # The controller schedules from its own *measured* RSS map — a
         # snapshot of the ground truth at association time (built with
         # the Sec. 5 beacon campaign in a real deployment).  Under
         # mobility it goes stale until the next campaign refreshes it.
-        from ..topology.interference_map import InterferenceMap
-        from ..topology.propagation import matrix_rss_fn
-        self.rss_matrix = topology.trace.rss_dbm.copy()
-        self.imap = InterferenceMap(matrix_rss_fn(self.rss_matrix),
-                                    topology.profile, margin_db=3.0)
-
-        # Link universe: the flows plus every association direction
-        # (fake-link candidates).  Flows first so the scheduler's
-        # fairness queue starts with real traffic.
-        universe: List[Link] = []
-        for link in list(topology.flows) + topology.all_association_links():
-            if link not in universe:
-                universe.append(link)
-        self.links = universe
-        self.graph = build_conflict_graph(self.imap, universe)
-        self.scheduler = RandScheduler(self.graph, universe, imap=self.imap)
-        if self.config.energy_constrained:
-            # Sleeping clients must not be woken by fake filler.
-            self.config.converter.fake_exclude_nodes = frozenset(
-                self.config.energy_constrained)
-        # Conversion memo: repeated backlog patterns (and the padded
-        # fake/poll skeleton under light load) skip fake insertion and
-        # trigger assignment entirely.  Keyed by a content hash of the
-        # control plane, so a campaign refresh invalidates by rekey.
-        self.conversion_cache = ConversionCache(conversion_topology_key(
-            self.rss_matrix, universe, self.config.converter))
-        self.converter = ScheduleConverter(
-            self.imap, self.graph, fake_candidates=universe,
-            config=self.config.converter, cache=self.conversion_cache,
-        )
+        self.plane = ControlPlane(
+            topology.trace.rss_dbm.copy(), topology.profile, universe,
+            converter, batch_slots=self.config.batch_slots,
+            demand_cap=self.config.demand_cap)
+        network = topology.network
+        self._aps = [ap.node_id for ap in network.aps]
+        self._client_ap = {client.node_id: network.ap_of(client.node_id)
+                           for client in network.clients}
         self.known_queues: Dict[Link, float] = {l: 0.0 for l in universe}
-        self._ap_links: Dict[int, List[Link]] = {}
-        for ap in topology.network.aps:
-            self._ap_links[ap.node_id] = [
-                l for l in universe
-                if topology.network.ap_of(l.src) == ap.node_id
-            ]
+        self._ap_links = {
+            ap: [l for l in universe if network.ap_of(l.src) == ap]
+            for ap in self._aps}
         self._batches_dispatched = 0
         self._batches_started: set = set()
         self._watchdog: Optional[Event] = None
@@ -129,6 +107,10 @@ class DominoController:
         )
         self._in_cop = False
         self.cop_windows: List[Tuple[float, float]] = []
+        # Sec. 5 mobility: measurement campaigns.
+        self._campaign_requested = False
+        self._campaign_store: Optional["ObservationStore"] = None
+        self.last_campaign_updates = 0
 
         wire.register(WiredBackbone.SERVER_ID, self._on_wire_message)
         for ap in topology.network.aps:
@@ -152,37 +134,11 @@ class DominoController:
     # ------------------------------------------------------------------
     # Batch computation
     # ------------------------------------------------------------------
-    def _demands(self) -> Dict[Link, int]:
-        cap = self.config.demand_cap
-        return {
-            link: min(cap, int(math.ceil(backlog)))
-            for link, backlog in self.known_queues.items()
-            if backlog >= 1.0
-        }
-
     def _dispatch_next_batch(self) -> None:
-        demands = self._demands()
-        strict = self.scheduler.schedule_batch(
-            demands, max_slots=self.config.batch_slots
-        )
-        # Pad to the full batch: empty slots become pure fake/polling
-        # skeleton slots, keeping chains alive under light load.
-        while len(strict) < self.config.batch_slots:
-            strict.append([])
-        rop_aps = ([ap.node_id for ap in self.topology.network.aps]
-                   if self.config.poll_every_batch else [])
-        batch = self.converter.convert(strict, rop_aps=rop_aps,
-                                       ap_links=self._ap_links)
-        if batch.initial:
-            self._synthesize_initial_duties(batch)
+        rop_aps = self._aps if self.config.poll_every_batch else []
+        batch = self.plane.next_batch(self.known_queues, rop_aps,
+                                      self._ap_links, self._client_ap)
         self.batches.append(batch)
-        # Optimistic decrement of what this batch will serve.
-        for slot in batch.slots:
-            for entry in slot.entries:
-                if entry.link in self.known_queues:
-                    self.known_queues[entry.link] = max(
-                        0.0, self.known_queues[entry.link] - 1.0
-                    )
         tel = self._trace
         if tel.enabled:
             tel.sched_dispatch(self.sim.now, batch.batch_id,
@@ -195,30 +151,6 @@ class DominoController:
         self._batches_dispatched += 1
         self._arm_watchdog(batch)
 
-    def _synthesize_initial_duties(self, batch: RelativeBatch) -> None:
-        """First batch bootstrap (Sec. 3.3).
-
-        For uplink entries in the very first slot, the client's AP
-        must broadcast the client's signature to start the chain; we
-        synthesize that duty at ``first_slot - 1``.
-        """
-        if not batch.slots:
-            return
-        first = batch.slots[0]
-        for entry in first.entries:
-            sender = entry.link.src
-            node = self.topology.network.nodes.get(sender)
-            if node is None or node.is_ap:
-                continue
-            ap_id = node.ap_id
-            key = (ap_id, first.index - 1)
-            existing = batch.duties.get(key)
-            targets = (existing.targets | {sender}) if existing \
-                else frozenset({sender})
-            batch.duties[key] = TriggerDuty(
-                node=ap_id, slot=first.index - 1, targets=targets
-            )
-
     # ------------------------------------------------------------------
     # Distribution
     # ------------------------------------------------------------------
@@ -229,8 +161,6 @@ class DominoController:
         programs = build_programs(batch)
         if self.config.energy_constrained:
             from .energy import annotate_programs
-            ap_of = {client.node_id: client.ap_id
-                     for client in self.topology.network.clients}
             for client in self.config.energy_constrained:
                 # A fully uninvolved client still needs a program to
                 # carry its sleep grant.
@@ -242,7 +172,8 @@ class DominoController:
                         last_slot_index=batch.last_slot_index,
                     )
             annotate_programs(batch, programs,
-                              self.config.energy_constrained, ap_of)
+                              self.config.energy_constrained,
+                              self._client_ap)
         if self.planner is not None:
             # NAV horizon for external deferral: schedule arrival plus
             # the batch's nominal execution time.
@@ -344,19 +275,17 @@ class DominoController:
     MEASURE_ROUND_US = 60.0        # beacon airtime + turnaround guard
     MEASURE_REPORT_ROUND_US = 250.0
 
-    _campaign_requested = False
-    _campaign_store: Optional["ObservationStore"] = None
-    last_campaign_updates = 0
-
     def run_measurement_campaign(self, delay_us: float = 0.0) -> None:
         """Refresh the interference map with a beacon campaign.
 
         The campaign slots in at the next batch boundary: the network
         quiesces, every node beacons in its two-hop-colouring round,
         the RSS observations flow back (clients report through their
-        APs), the controller rewrites its map and rebuilds the
-        conflict graph, scheduler and converter, then dispatches the
-        next batch.
+        APs), the controller writes them into its measured map and
+        patches the control plane around every node that beaconed or
+        heard a beacon (conflict edges re-tested, stale cache entries
+        evicted; the fairness rotation and slot numbering carry on),
+        then dispatches the next batch.
         """
         def request() -> None:
             self._campaign_requested = True
@@ -371,10 +300,10 @@ class DominoController:
         # Rounds are planned on the (possibly stale) current map; the
         # two-hop colouring keeps them collision-free as long as the
         # map is roughly right, which is the paper's working regime.
-        hearing = hearing_graph(self.imap, node_ids)
+        hearing = hearing_graph(self.plane.imap, node_ids)
         rounds = beacon_rounds(hearing)
         self._campaign_store = ObservationStore()
-        self.converter.reset_connector()  # campaign silence breaks chains
+        self.plane.converter.reset_connector()  # campaign silence breaks chains
         start = self.sim.now + self.wire.mean_us + 3.0 * self.wire.std_us
         report0 = start + len(rounds) * self.MEASURE_ROUND_US
         order = {
@@ -398,29 +327,15 @@ class DominoController:
 
     def record_observation(self, observer: int, beaconer: int,
                            rss_dbm: float) -> None:
-        if getattr(self, "_campaign_store", None) is not None:
+        if self._campaign_store is not None:
             self._campaign_store.record(observer, beaconer, rss_dbm)
 
     def refresh_from_observations(self, store: "ObservationStore") -> int:
-        """Fold campaign observations in and rebuild the control plane."""
-        from ..topology.interference_map import InterferenceMap
-        from ..topology.propagation import matrix_rss_fn
-
-        updated = store.apply_to_matrix(self.rss_matrix)
-        self.imap = InterferenceMap(matrix_rss_fn(self.rss_matrix),
-                                    self.topology.profile, margin_db=3.0)
-        self.graph = build_conflict_graph(self.imap, self.links)
-        self.scheduler = RandScheduler(self.graph, self.links, imap=self.imap)
-        self.conversion_cache.set_topology(conversion_topology_key(
-            self.rss_matrix, self.links, self.config.converter))
-        rebuilt = ScheduleConverter(
-            self.imap, self.graph, fake_candidates=self.links,
-            config=self.config.converter, cache=self.conversion_cache,
-        )
-        # Global slot numbering and batch ids continue seamlessly.
-        rebuilt._next_slot_index = self.converter._next_slot_index
-        rebuilt._batch_id = self.converter._batch_id
-        self.converter = rebuilt
+        """Fold campaign observations into the map and patch the plane."""
+        updated = store.apply_to_matrix(self.plane.rss)
+        observations = store.observations
+        self.plane.update(self.plane.links, set(observations).union(
+            *observations.values()))
         return updated
 
     # ------------------------------------------------------------------
@@ -441,7 +356,7 @@ class DominoController:
         (and any contention-mode) traffic owns the channel."""
         assert self.planner is not None
         self._in_cop = True
-        self.converter.reset_connector()  # triggers cannot cross a CoP
+        self.plane.converter.reset_connector()  # triggers cannot cross a CoP
         for ap in self.topology.network.aps:
             self.wire.send(WiredBackbone.SERVER_ID, ap.node_id,
                            {"type": "cop_open"})
@@ -456,7 +371,8 @@ class DominoController:
         for ap in self.topology.network.aps:
             self.wire.send(WiredBackbone.SERVER_ID, ap.node_id,
                            {"type": "cop_close"})
-        if not self.planner.cfp_enabled(sum(self._demands().values())):
+        demand = sum(self.plane.demands(self.known_queues).values())
+        if not self.planner.cfp_enabled(demand):
             # Sec. 5 light traffic: CFP off; stay in contention mode
             # and re-check once demand news can have arrived.
             self._in_cop = True
@@ -487,7 +403,7 @@ class DominoController:
             # The batch never started: its chains are dead air and its
             # last slot cannot trigger anything.  Forget the connector
             # so the next batch self-starts from the APs.
-            self.converter.reset_connector()
+            self.plane.converter.reset_connector()
             self._dispatch_next_batch()
 
 

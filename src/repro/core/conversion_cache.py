@@ -4,9 +4,10 @@ plane hot spot).
 The converter's output is a pure function of
 
 * the **control plane**: measured RSS matrix, link universe and
-  converter config (together hashed into a *topology key* — rebuilt
-  after a measurement campaign, which naturally invalidates every
-  prior entry);
+  converter config (together hashed into a *topology key*; after an
+  RSS or membership change — a service delta or a measurement
+  campaign alike — entries that provably still replay identically
+  migrate to the new key and the rest are evicted);
 * the **backlog-derived inputs** of one call: the padded strict
   schedule, the ROP AP list and the per-AP association links;
 * the **connector** retained from the previous batch — only its entry
@@ -193,10 +194,9 @@ class CachedConversion:
 class ConversionCache:
     """Bounded FIFO memo of strict-to-relative conversions.
 
-    One instance is shared across a controller's converter rebuilds;
-    :meth:`set_topology` swaps the topology key after a measurement
-    campaign so stale entries simply stop matching (and eventually
-    fall out of the FIFO bound).
+    One instance lives as long as its control plane; after every
+    control-plane change :meth:`refine_topology` moves it to the new
+    topology key.
     """
 
     def __init__(self, topology_key: str = "", max_entries: int = 256):
@@ -228,11 +228,6 @@ class ConversionCache:
         if self._trace.enabled:
             self._trace.metrics.counter(
                 "converter.cache.reject." + rule).inc()
-
-    def set_topology(self, topology_key: str) -> None:
-        """Invalidate by rekeying: entries under the old control-plane
-        hash can never match again."""
-        self.topology_key = topology_key
 
     def invalidate_link(self, link: Link) -> int:
         """Evict every entry that involves ``link``; keep the rest.
@@ -266,11 +261,10 @@ class ConversionCache:
     ) -> Tuple[int, int]:
         """Partial rekey: migrate still-valid entries, evict the rest.
 
-        The incremental controller's counterpart to
-        :meth:`set_topology`.  After a localized control-plane change
-        (one node's RSS row, one client joining) the new topology key
-        would orphan *every* entry even though most conversions are
-        unaffected.  Instead, each entry is offered to ``keep`` —
+        After a localized control-plane change (one node's RSS row,
+        one client joining, a measurement campaign) the new topology
+        key would orphan *every* entry even though most conversions
+        are unaffected.  Instead, each entry is offered to ``keep`` —
         the converter's dirty-region judgement — and survivors are
         re-filed under the new key with their FIFO order preserved,
         so untouched chains keep replaying from cache.

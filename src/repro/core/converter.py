@@ -103,10 +103,9 @@ class ScheduleConverter:
         self.graph = conflict_graph
         self.fake_candidates = list(fake_candidates)
         self.config = config if config is not None else ConverterConfig()
-        #: Optional conversion memo (see repro.core.conversion_cache).
-        #: The cache outlives the converter: the controller hands the
-        #: same instance to every rebuilt converter and rekeys it when
-        #: the control plane changes.
+        #: Optional conversion memo (see repro.core.conversion_cache),
+        #: owned by the control plane and moved to each new topology
+        #: key by :meth:`revalidate_cache`.
         self.cache = cache
         self._connector: Optional[RelativeSlot] = None
         self._next_slot_index = 0
@@ -146,7 +145,7 @@ class ScheduleConverter:
         forked._batch_id = self._batch_id
         return forked
 
-    def purge_links(self, links: Iterable[Link]) -> int:
+    def purge_links(self, links: Iterable[Link]) -> None:
         """Drop departed links from the retained connector slot.
 
         When a client disassociates mid-run its links vanish from the
@@ -155,26 +154,18 @@ class ScheduleConverter:
         trigger duties to a node that left.  The connector is replaced
         (not mutated: the emitted batch still owns the original slot)
         with the surviving entries; if none survive it is reset and the
-        next batch self-starts.  Returns the number of entries dropped.
+        next batch self-starts.
         """
         connector = self._connector
         if connector is None:
-            return 0
+            return
         gone = frozenset(links)
-        if not gone:
-            return 0
-        kept = [e for e in connector.entries
-                if e.link not in gone]
-        dropped = len(connector.entries) - len(kept)
-        if dropped == 0:
-            return 0
-        if not kept:
-            self._connector = None
-        else:
-            self._connector = RelativeSlot(index=connector.index,
-                                           entries=kept,
-                                           rop_after=list(connector.rop_after))
-        return dropped
+        kept = [e for e in connector.entries if e.link not in gone]
+        if len(kept) == len(connector.entries):
+            return
+        self._connector = RelativeSlot(
+            index=connector.index, entries=kept,
+            rop_after=list(connector.rop_after)) if kept else None
 
     def revalidate_cache(self, topology_key: str,
                          dirty_links: Iterable[Link],

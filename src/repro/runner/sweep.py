@@ -76,7 +76,8 @@ def _reduce(point: ExperimentPoint, result: Any, wall_s: float,
         for flow, record in result.recorder.records.items()
     ]
     sim = next(iter(result.macs.values())).sim
-    cache = getattr(result.controller, "conversion_cache", None)
+    plane = getattr(result.controller, "plane", None)
+    cache = plane.cache if plane is not None else None
     digest = None
     metrics = None
     records = None

@@ -2,11 +2,13 @@
 
 :class:`NetworkState` is the online controller's picture of the
 world: the measured RSS matrix (mutated strictly in place, so the
-interference map's live reads always see current values), AP and
-client membership, the ordered link universe, and per-link queue
+control plane's interference map always reads current values), AP
+and client membership, the ordered link universe, and per-link queue
 backlogs.  Applying an event returns a :class:`StateDelta` naming the
-dirty region — the engine turns that into incremental graph and cache
-maintenance.
+dirty region — the engine hands that to
+:meth:`repro.core.control_plane.ControlPlane.update`, which patches
+the graph and cache in place; the live structures are never
+rebuilt.
 
 Universe ordering is load-bearing: fake candidates are tried in
 universe order, so the order must be a deterministic function of the
@@ -23,6 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Set
 
 import numpy as np
 
+from ..core.control_plane import link_universe
 from ..topology.links import Link
 from .events import (Associate, ControllerEvent, Disassociate, QueueUpdate,
                      RssDelta)
@@ -63,8 +66,9 @@ class NetworkState:
     def __init__(self, rss_dbm: np.ndarray, aps: List[int],
                  clients: Mapping[int, int], links: List[Link],
                  profile: "PhyProfile"):
-        #: Measured RSS matrix; mutated in place only — the engine's
-        #: interference map holds a closure over this exact array.
+        #: Measured RSS matrix; mutated in place only — the control
+        #: plane's interference map holds a closure over this exact
+        #: array.
         self.rss = np.array(rss_dbm, dtype=float)
         self.aps = list(aps)
         self._ap_set = frozenset(self.aps)
@@ -78,21 +82,16 @@ class NetworkState:
     def from_topology(cls, topology: "Topology") -> "NetworkState":
         """Seed the state from a static topology snapshot.
 
-        Mirrors the batch controller's universe construction exactly,
-        so a service with zero events schedules the same network a
+        Shares the batch controller's universe construction, so a
+        service with zero events schedules the same network a
         :class:`~repro.core.controller.DominoController` would.
         """
-        universe: List[Link] = []
-        for link in (list(topology.flows)
-                     + topology.all_association_links()):
-            if link not in universe:
-                universe.append(link)
         return cls(
             rss_dbm=topology.trace.rss_dbm,
             aps=[ap.node_id for ap in topology.network.aps],
             clients={client.node_id: client.ap_id
                      for client in topology.network.clients},
-            links=universe,
+            links=link_universe(topology),
             profile=topology.profile,
         )
 

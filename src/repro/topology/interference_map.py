@@ -156,25 +156,23 @@ class InterferenceMap:
         self._trigger_cache[key] = ok
         return ok
 
-    def invalidate_nodes(self, nodes: Iterable[int]) -> int:
+    def invalidate_nodes(self, nodes: Iterable[int]) -> None:
         """Purge cached trigger verdicts touching ``nodes``.
 
         The trigger cache is the map's only memoized state; everything
         else reads the RSS source live.  After an in-place RSS change
         confined to some nodes' rows/columns (mobility, re-measurement)
-        the online controller calls this with exactly those nodes, so
+        the control plane calls this with exactly those nodes, so
         stale verdicts disappear while the rest of the cache — the
-        expensive steady-state majority — survives.  Returns the
-        number of entries purged.
+        expensive steady-state majority — survives.
         """
         dirty = frozenset(nodes)
         if not dirty:
-            return 0
+            return
         stale = [key for key in self._trigger_cache
                  if key[0] in dirty or key[1] in dirty]
         for key in stale:
             del self._trigger_cache[key]
-        return len(stale)
 
     def link_can_trigger(self, link: Link, target: int) -> bool:
         return (self.node_can_trigger(link.src, target)

@@ -114,7 +114,7 @@ class TestKeysAndInvalidation:
     def test_rekey_invalidates(self):
         cached, _ = paired_converters()
         cached.convert(strict_a())
-        cached.cache.set_topology("remeasured")
+        cached.cache.refine_topology("remeasured", keep=lambda *_: False)
         cached.convert(strict_a())
         assert cached.cache.hits == 0
         assert cached.cache.misses == 2

@@ -108,3 +108,14 @@ def test_integration_idle_client_sleeps_without_hurting_others():
     # Network throughput is not harmed by C3 sleeping.
     assert sleepy_rec.aggregate_throughput_mbps(horizon) > \
         0.95 * baseline_rec.aggregate_throughput_mbps(horizon)
+
+
+def test_controller_leaves_callers_converter_config_alone():
+    """The fake-filler exclusion goes to the controller's own copy of
+    the converter config, not into the object the caller passed."""
+    config = ControllerConfig(energy_constrained=frozenset({5}))
+    net = build_domino_network(Simulator(seed=1), fig1_topology(),
+                               config=config)
+    assert config.converter.fake_exclude_nodes == frozenset()
+    assert net.controller.plane.converter.config.fake_exclude_nodes == \
+        frozenset({5})

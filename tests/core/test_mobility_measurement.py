@@ -13,15 +13,18 @@ import pytest
 
 from repro.core import build_domino_network
 from repro.metrics.stats import FlowRecorder
+from repro.service.revision import batch_digest
 from repro.sim.engine import Simulator
 from repro.sim.node import Network
 from repro.topology.builder import Topology
+from repro.topology.conflict_graph import build_conflict_graph
+from repro.topology.interference_map import InterferenceMap
 from repro.topology.links import Link
 from repro.topology.measurement import (ObservationStore, beacon_rounds,
                                         campaign_overhead_fraction,
                                         two_hop_graph, validate_rounds)
 from repro.topology.mobility import move_node
-from repro.topology.propagation import LogDistanceModel
+from repro.topology.propagation import LogDistanceModel, matrix_rss_fn
 from repro.topology.trace import SyntheticTrace
 from repro.traffic.udp import SaturatedSource
 
@@ -138,7 +141,7 @@ def test_campaign_restores_throughput_after_mobility():
     # Phase 1: both cells independent, both links near full rate.
     clean = window_mbps(victim, 300_000.0)
     assert clean > 7.0
-    assert not net.controller.imap.conflicts(Link(0, 1), victim)
+    assert not net.controller.plane.imap.conflicts(Link(0, 1), victim)
 
     # Phase 2: the client walks toward AP1; ground truth changes, the
     # controller's snapshot does not — the victim link collapses.
@@ -146,16 +149,55 @@ def test_campaign_restores_throughput_after_mobility():
     net.medium.invalidate_topology()
     degraded = window_mbps(victim, 600_000.0)
     assert degraded < 0.5 * clean
-    assert not net.controller.imap.conflicts(Link(0, 1), victim)  # stale
+    assert not net.controller.plane.imap.conflicts(Link(0, 1), victim)  # stale
 
     # Phase 3: measurement campaign -> conflict discovered -> links
     # alternate -> the victim recovers to about half rate.
     net.controller.run_measurement_campaign()
     sim.run(until=700_000.0)  # campaign + first refreshed batches
     assert net.controller.last_campaign_updates > 0
-    assert net.controller.imap.conflicts(Link(0, 1), victim)
+    assert net.controller.plane.imap.conflicts(Link(0, 1), victim)
     recovered = window_mbps(victim, 1_100_000.0)
     assert recovered > 2.5  # ~half of a ~9 Mbps slot stream
     assert recovered > 1.5 * degraded
     other = recorder.flow_throughput_mbps(Link(0, 1), sim.now)
     assert other > 2.0  # the aggressor still gets its share
+
+
+def test_campaign_patches_the_plane_like_a_fresh_build():
+    """The campaign patches the live plane around every observer and
+    beaconer; the result must equal a from-scratch build (graph) and
+    an uncached from-scratch conversion (next batch digest)."""
+    topology = make_mobile_topology()
+    sim = Simulator(seed=3)
+    net = build_domino_network(sim, topology)
+    for flow in topology.flows:
+        SaturatedSource(sim, net.macs[flow.src], flow.dst).start()
+    controller = net.controller
+    controller.start()
+    sim.run(until=50_000.0)
+    move_node(topology.trace, 3, (16.0, 0.0), model=MODEL)
+    net.medium.invalidate_topology()
+    controller.run_measurement_campaign()
+    sim.run(until=150_000.0)
+    assert controller.last_campaign_updates > 0
+
+    plane = controller.plane
+    fresh = build_conflict_graph(
+        InterferenceMap(matrix_rss_fn(plane.rss), topology.profile),
+        plane.links)
+    assert set(plane.graph.nodes) == set(fresh.nodes)
+    assert (set(map(frozenset, plane.graph.edges))
+            == set(map(frozenset, fresh.edges)))
+    assert plane.graph.has_edge(Link(0, 1), Link(2, 3))
+
+    aps = [ap.node_id for ap in topology.network.aps]
+    ap_links = {ap: [l for l in plane.links
+                     if topology.network.ap_of(l.src) == ap]
+                for ap in aps}
+    client_ap = {c.node_id: c.ap_id for c in topology.network.clients}
+    queues = dict(controller.known_queues)
+    expected = batch_digest(plane.fork().next_batch(
+        dict(queues), aps, ap_links, client_ap))
+    assert batch_digest(plane.next_batch(
+        queues, aps, ap_links, client_ap)) == expected

@@ -32,9 +32,9 @@ def run_checked(topology, updates, seed):
 def assert_graph_fresh(engine):
     """The incrementally maintained conflict graph must equal a
     from-scratch build over the final state."""
-    fresh = build_conflict_graph(engine.imap, engine.state.links)
-    assert set(engine.graph.nodes) == set(fresh.nodes)
-    assert (set(map(frozenset, engine.graph.edges))
+    fresh = build_conflict_graph(engine.plane.imap, engine.state.links)
+    assert set(engine.plane.graph.nodes) == set(fresh.nodes)
+    assert (set(map(frozenset, engine.plane.graph.edges))
             == set(map(frozenset, fresh.edges)))
 
 
@@ -103,8 +103,8 @@ class TestMembershipEdgeCases:
         ])
         assert 1 not in engine.state.clients
         assert all(1 not in (l.src, l.dst) for l in engine.state.links)
-        assert all(1 not in (l.src, l.dst) for l in engine.scheduler.queue)
-        assert all(1 not in (l.src, l.dst) for l in engine.graph.nodes)
+        assert all(1 not in (l.src, l.dst) for l in engine.plane.scheduler.queue)
+        assert all(1 not in (l.src, l.dst) for l in engine.plane.graph.nodes)
         assert_graph_fresh(engine)
         # And the network keeps scheduling correctly afterwards.
         service.run_events([QueueUpdate(t_us=20_000.0, src=2, dst=3,

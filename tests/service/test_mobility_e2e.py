@@ -59,8 +59,8 @@ class TestMobilityPipeline:
         # links, and the drift genuinely flipped conflict edges at
         # some point along the walk.
         assert all(r.dirty_links == 2 for r in service.revisions)
-        fresh = build_conflict_graph(engine.imap, engine.state.links)
-        assert (set(map(frozenset, engine.graph.edges))
+        fresh = build_conflict_graph(engine.plane.imap, engine.state.links)
+        assert (set(map(frozenset, engine.plane.graph.edges))
                 == set(map(frozenset, fresh.edges)))
         assert engine.conflict_checks > 0
 
