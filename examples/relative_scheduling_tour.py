@@ -20,6 +20,7 @@ then inspect the trace with
 """
 
 import argparse
+import itertools
 
 from repro import telemetry
 from repro.core import build_domino_network
@@ -50,8 +51,8 @@ def show_conversion():
     graph = build_conflict_graph(imap, universe)
 
     print("conflict graph edges over the downlinks:")
-    for a, b in graph.edges:
-        if a in topology.flows and b in topology.flows:
+    for a, b in itertools.combinations(topology.flows, 2):
+        if b in graph[a]:
             print(f"  {name(a.src)}->{name(a.dst)}  x  "
                   f"{name(b.src)}->{name(b.dst)}")
 

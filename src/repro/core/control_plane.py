@@ -17,7 +17,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
 import numpy as np
 
 from ..sched.rand_scheduler import RandScheduler
-from ..topology.conflict_graph import (ConflictDelta, build_conflict_graph,
+from ..topology.conflict_graph import (ConflictDelta, add_vertices,
+                                       build_conflict_graph, remove_vertices,
                                        update_conflict_graph)
 from ..topology.interference_map import InterferenceMap
 from ..topology.links import Link
@@ -109,10 +110,10 @@ class ControlPlane:
         joined = [l for l in added if l in live]
         if gone:
             self.scheduler.remove_links(gone)
-            self.graph.remove_nodes_from(gone)
+            remove_vertices(self.graph, gone)
             self.converter.purge_links(gone)
         if joined:
-            self.graph.add_nodes_from(joined)
+            add_vertices(self.graph, joined)
             self.scheduler.add_links(joined)
         if lap is not None:
             lap("membership_us")

@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..sim.engine import Event, Simulator
 from ..sim.medium import Medium
 from ..sim.wire import WiredBackbone
 from ..topology.builder import Topology
+from ..topology.conflict_graph import hearing_graph
 from ..topology.links import Link
+from ..topology.measurement import ObservationStore, beacon_rounds
 from .coexistence import CoexistenceConfig, CoexistencePlanner
 from .control_plane import ControlPlane, link_universe
 from .converter import ConverterConfig
@@ -37,9 +39,6 @@ from .relative_schedule import NodeProgram, RelativeBatch, build_programs
 from .rop import RopDecoder, plan_subchannels
 from .domino_mac import DominoMac
 from .trigger_model import TriggerDetectionModel
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
-    from ..topology.measurement import ObservationStore
 
 
 @dataclass
@@ -109,7 +108,7 @@ class DominoController:
         self.cop_windows: List[Tuple[float, float]] = []
         # Sec. 5 mobility: measurement campaigns.
         self._campaign_requested = False
-        self._campaign_store: Optional["ObservationStore"] = None
+        self._campaign_store: Optional[ObservationStore] = None
         self.last_campaign_updates = 0
 
         wire.register(WiredBackbone.SERVER_ID, self._on_wire_message)
@@ -293,9 +292,6 @@ class DominoController:
         self.sim.schedule(delay_us, request)
 
     def _begin_campaign(self) -> None:
-        from ..topology.conflict_graph import hearing_graph
-        from ..topology.measurement import ObservationStore, beacon_rounds
-
         node_ids = sorted(n.node_id for n in self.topology.network)
         # Rounds are planned on the (possibly stale) current map; the
         # two-hop colouring keeps them collision-free as long as the
@@ -330,7 +326,7 @@ class DominoController:
         if self._campaign_store is not None:
             self._campaign_store.record(observer, beaconer, rss_dbm)
 
-    def refresh_from_observations(self, store: "ObservationStore") -> int:
+    def refresh_from_observations(self, store: ObservationStore) -> int:
         """Fold campaign observations into the map and patch the plane."""
         updated = store.apply_to_matrix(self.plane.rss)
         observations = store.observations

@@ -33,9 +33,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
-import networkx as nx
-
-from ..topology.conflict_graph import greedy_maximal_extension
+from ..topology.conflict_graph import Adjacency, greedy_maximal_extension
 from ..topology.interference_map import InterferenceMap
 from ..sched.strict_schedule import StrictSchedule
 from ..topology.links import Link
@@ -88,14 +86,14 @@ class ScheduleConverter:
         The central interference map (for trigger reachability and
         RSS-ordered trigger choice).
     conflict_graph:
-        Conflict graph over the *full* link universe (flows plus all
-        association links available as fakes).
+        Conflict graph (adjacency dict) over the *full* link universe
+        (flows plus all association links available as fakes).
     fake_candidates:
         Links eligible for fake insertion, in deterministic priority
         order.
     """
 
-    def __init__(self, imap: InterferenceMap, conflict_graph: nx.Graph,
+    def __init__(self, imap: InterferenceMap, conflict_graph: Adjacency[Link],
                  fake_candidates: Sequence[Link],
                  config: Optional[ConverterConfig] = None,
                  cache: Optional["ConversionCache"] = None):
@@ -123,7 +121,7 @@ class ScheduleConverter:
         """
         self._connector = None
 
-    def fork_preview(self, imap: InterferenceMap, conflict_graph: nx.Graph,
+    def fork_preview(self, imap: InterferenceMap, conflict_graph: Adjacency[Link],
                      fake_candidates: Sequence[Link]) -> "ScheduleConverter":
         """Uncached converter at the same stream position.
 
@@ -198,7 +196,7 @@ class ScheduleConverter:
           from :func:`repro.topology.conflict_graph.update_conflict_graph`)
           changes a ROP sharing verdict between two distinct polled
           APs.  The per-AP association table is consulted only as the
-          OR over ``graph.has_edge`` / ``shares_node`` of the two
+          OR over ``lb in graph[la]`` / ``shares_node`` of the two
           APs' link pairs, so a flip is invisible while any *other*
           pair of the same two cells still conflicts — only a flip
           that toggles that OR (re-evaluated exactly, with the
@@ -286,7 +284,8 @@ class ScheduleConverter:
             for lb in table.get(ap_v, ()):
                 if la.shares_node(lb):
                     return False  # conflicts regardless of any edge
-                edge_now = self.graph.has_edge(la, lb)
+                # A departed link in the key's table has no edges.
+                edge_now = lb in self.graph.get(la, ())
                 if frozenset((la, lb)) in flipped_pairs:
                     edge_before = not edge_now
                 else:
@@ -513,7 +512,7 @@ class ScheduleConverter:
         def links_conflict(ap_a: int, ap_b: int) -> bool:
             for la in ap_links.get(ap_a, []):
                 for lb in ap_links.get(ap_b, []):
-                    if self.graph.has_edge(la, lb) or la.shares_node(lb):
+                    if lb in self.graph[la] or la.shares_node(lb):
                         return True
             return False
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import networkx as nx
-
 from ..sched.rand_scheduler import RandScheduler
 from ..sim.engine import Simulator
 from ..sim.medium import Medium
@@ -73,7 +71,7 @@ class OmniscientCoordinator:
         self.macs = macs
         imap = topology.interference_map()
         self.links = list(topology.flows)
-        self.graph: nx.Graph = build_conflict_graph(imap, self.links)
+        self.graph = build_conflict_graph(imap, self.links)
         self.scheduler = RandScheduler(self.graph, self.links, imap=imap)
         profile = topology.profile
         from ..sim.packet import MAC_HEADER_BYTES

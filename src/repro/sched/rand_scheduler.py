@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
-
-from ..topology.conflict_graph import greedy_maximal_extension
+from ..topology.conflict_graph import Adjacency, greedy_maximal_extension
 from ..topology.interference_map import InterferenceMap
 from ..topology.links import Link
 from .strict_schedule import StrictSchedule
@@ -28,7 +26,7 @@ class RandScheduler:
     Parameters
     ----------
     conflict_graph:
-        Link conflict graph; an edge forbids slot sharing.
+        Link conflict graph (adjacency dict); an edge forbids sharing.
     links:
         The link universe in initial queue order (deterministic).
     imap:
@@ -37,7 +35,7 @@ class RandScheduler:
         when several interferers add up at one receiver.
     """
 
-    def __init__(self, conflict_graph: "nx.Graph[Link]",
+    def __init__(self, conflict_graph: Adjacency[Link],
                  links: Sequence[Link],
                  imap: Optional[InterferenceMap] = None):
         self.graph = conflict_graph

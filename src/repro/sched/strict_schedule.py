@@ -9,13 +9,12 @@ with perfect synchronization.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
+from ..topology.conflict_graph import Adjacency
 from ..topology.links import Link
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
-    import networkx as nx
 
 
 @dataclass
@@ -52,12 +51,11 @@ class StrictSchedule:
                 counts[link] = counts.get(link, 0) + 1
         return counts
 
-    def validate_against(self, conflict_graph: "nx.Graph[Link]") -> None:
+    def validate_against(self, conflict_graph: Adjacency[Link]) -> None:
         """Raise ``ValueError`` if any slot contains conflicting links."""
-        import itertools
         for idx, slot in enumerate(self.slots):
             for l1, l2 in itertools.combinations(slot, 2):
-                if conflict_graph.has_edge(l1, l2):
+                if l2 in conflict_graph[l1]:
                     raise ValueError(
                         f"slot {idx} schedules conflicting links {l1} and {l2}"
                     )

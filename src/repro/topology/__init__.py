@@ -12,11 +12,10 @@ from .builder import (Topology, TopologyError, build_t_topology,
 from .interference_map import InterferenceMap
 from .conflict_graph import (ConflictGraphUpdateCost, build_conflict_graph,
                              greedy_maximal_extension, hearing_graph,
-                             is_independent_set)
+                             is_independent_set, two_hop_graph)
 from .links import Link
 from .measurement import (ObservationStore, beacon_rounds,
-                          campaign_overhead_fraction, two_hop_graph,
-                          validate_rounds)
+                          campaign_overhead_fraction, validate_rounds)
 from .mobility import move_node, place_near
 from .placement import (Building, TwoBuildingLayout, grid_placement,
                         random_placement, two_building_placement)

@@ -6,6 +6,10 @@ this graph are exactly the legal slots.  The graph is derived from the
 central interference map, mirroring the conflict-graph construction
 the paper cites.
 
+Every graph here is a plain adjacency dict (vertex -> neighbour set,
+each edge stored both ways) that only this module's functions write;
+readers ask ``b in graph[a]``, ``a in graph`` and ``len(graph[a])``.
+
 Also implements the Sec. 5 discussion formula for the cost of keeping
 the conflict graph fresh under mobility:
 ``overhead = t * (delta + 1) / coherence_time`` where ``delta`` is the
@@ -16,26 +20,46 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, AbstractSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
-
-import networkx as nx
+from typing import (TYPE_CHECKING, AbstractSet, Callable, Dict, Hashable,
+                    Iterable, List, Optional, Sequence, Set, Tuple, TypeVar)
 
 from .links import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .interference_map import InterferenceMap
 
+V = TypeVar("V", bound=Hashable)
+Adjacency = Dict[V, Set[V]]  # undirected: vertex -> neighbour set
+
+
+def _pairwise_graph(vertices: Sequence[V],
+                    adjacent: Callable[[V, V], bool]) -> Adjacency[V]:
+    """Graph over ``vertices`` with an edge wherever ``adjacent`` holds."""
+    graph: Adjacency[V] = {vertex: set() for vertex in vertices}
+    for a, b in itertools.combinations(vertices, 2):
+        if adjacent(a, b):
+            graph[a].add(b)
+            graph[b].add(a)
+    return graph
+
 
 def build_conflict_graph(imap: "InterferenceMap",
-                         links: Sequence[Link]) -> nx.Graph:
+                         links: Sequence[Link]) -> Adjacency[Link]:
     """Conflict graph over ``links`` from the interference map."""
-    graph = nx.Graph()
-    graph.add_nodes_from(links)
-    for l1, l2 in itertools.combinations(links, 2):
-        if imap.conflicts(l1, l2):
-            graph.add_edge(l1, l2)
-    return graph
+    return _pairwise_graph(links, imap.conflicts)
+
+
+def add_vertices(graph: Adjacency[V], vertices: Iterable[V]) -> None:
+    """Add ``vertices`` without edges; present ones keep theirs."""
+    for vertex in vertices:
+        graph.setdefault(vertex, set())
+
+
+def remove_vertices(graph: Adjacency[V], vertices: Iterable[V]) -> None:
+    """Remove ``vertices`` and their edges; absent ones are skipped."""
+    for vertex in vertices:
+        for neighbour in graph.pop(vertex, ()):
+            graph[neighbour].discard(vertex)
 
 
 @dataclass
@@ -60,7 +84,7 @@ class ConflictDelta:
         return self.added + self.removed
 
 
-def update_conflict_graph(graph: nx.Graph, imap: "InterferenceMap",
+def update_conflict_graph(graph: Adjacency[Link], imap: "InterferenceMap",
                           links: Sequence[Link],
                           dirty_links: Iterable[Link]) -> ConflictDelta:
     """Recompute only the edges incident to ``dirty_links``, in place.
@@ -78,6 +102,7 @@ def update_conflict_graph(graph: nx.Graph, imap: "InterferenceMap",
     dirty = [link for link in dict.fromkeys(dirty_links)]
     dirty_set = set(dirty)
     for dl in dirty:
+        neighbours = graph[dl]
         for other in links:
             if other == dl:
                 continue
@@ -86,27 +111,26 @@ def update_conflict_graph(graph: nx.Graph, imap: "InterferenceMap",
                 continue
             delta.checked += 1
             conflicting = imap.conflicts(dl, other)
-            if conflicting and not graph.has_edge(dl, other):
-                graph.add_edge(dl, other)
+            if conflicting and other not in neighbours:
+                neighbours.add(other)
+                graph[other].add(dl)
                 delta.added += 1
                 delta.pairs.append((dl, other))
-            elif not conflicting and graph.has_edge(dl, other):
-                graph.remove_edge(dl, other)
+            elif not conflicting and other in neighbours:
+                neighbours.remove(other)
+                graph[other].remove(dl)
                 delta.removed += 1
                 delta.pairs.append((dl, other))
     return delta
 
 
-def is_independent_set(graph: nx.Graph, links: Iterable[Link]) -> bool:
+def is_independent_set(graph: Adjacency[Link], links: Iterable[Link]) -> bool:
     """True iff no two of ``links`` are adjacent in ``graph``."""
-    links = list(links)
-    for l1, l2 in itertools.combinations(links, 2):
-        if graph.has_edge(l1, l2):
-            return False
-    return True
+    return not any(l2 in graph[l1]
+                   for l1, l2 in itertools.combinations(list(links), 2))
 
 
-def greedy_maximal_extension(graph: nx.Graph, base: Sequence[Link],
+def greedy_maximal_extension(graph: Adjacency[Link], base: Sequence[Link],
                              candidates: Iterable[Link],
                              imap: Optional["InterferenceMap"] = None,
                              blocked_nodes: AbstractSet[int] = frozenset()
@@ -127,12 +151,11 @@ def greedy_maximal_extension(graph: nx.Graph, base: Sequence[Link],
     used: Set[int] = set(blocked_nodes)
     for link in chosen:
         used.update(link)
-    has_edge = graph.has_edge
     slot = None
     for cand in candidates:
         if cand.src in used or cand.dst in used:
             continue
-        if any(has_edge(cand, link) for link in chosen):
+        if not graph[cand].isdisjoint(chosen):
             continue
         if imap is not None:
             if slot is None:
@@ -154,27 +177,16 @@ class ConflictGraphUpdateCost:
     beacon_time_us: float = 40.0
     coherence_time_us: float = 125_100.0  # 125.1 ms walking coherence
 
-    def two_hop_max_degree(self, hearing: nx.Graph) -> int:
+    def two_hop_max_degree(self, hearing: Adjacency[int]) -> int:
         """Max degree of the two-hop connected graph of ``hearing``.
 
         ``hearing`` is the node-level interference graph (who hears
         whom); two nodes are connected in the two-hop graph when they
         are within two hops.
         """
-        two_hop = nx.Graph()
-        two_hop.add_nodes_from(hearing.nodes)
-        for node in hearing.nodes:
-            reach = set(hearing.neighbors(node))
-            for neigh in list(reach):
-                reach.update(hearing.neighbors(neigh))
-            reach.discard(node)
-            for other in reach:
-                two_hop.add_edge(node, other)
-        if two_hop.number_of_nodes() == 0:
-            return 0
-        return max(dict(two_hop.degree).values(), default=0)
+        return max(map(len, two_hop_graph(hearing).values()), default=0)
 
-    def overhead_fraction(self, hearing: nx.Graph) -> float:
+    def overhead_fraction(self, hearing: Adjacency[int]) -> float:
         """Fraction of airtime spent re-measuring the conflict graph.
 
         With delta = 40 and 40 us beacons the paper computes 1.3 %.
@@ -184,11 +196,18 @@ class ConflictGraphUpdateCost:
 
 
 def hearing_graph(imap: "InterferenceMap",
-                  node_ids: Sequence[int]) -> nx.Graph:
+                  node_ids: Sequence[int]) -> Adjacency[int]:
     """Node-level graph with an edge where nodes carrier-sense each other."""
-    graph = nx.Graph()
-    graph.add_nodes_from(node_ids)
-    for a, b in itertools.combinations(node_ids, 2):
-        if imap.in_cs_range(a, b):
-            graph.add_edge(a, b)
-    return graph
+    return _pairwise_graph(node_ids, imap.in_cs_range)
+
+
+def two_hop_graph(hearing: Adjacency[V]) -> Adjacency[V]:
+    """Connect any two vertices within two hops of ``hearing``."""
+    expanded: Adjacency[V] = {}
+    for node, neighbours in hearing.items():
+        reach = set(neighbours)
+        for neighbour in neighbours:
+            reach |= hearing[neighbour]
+        reach.discard(node)
+        expanded[node] = reach
+    return expanded

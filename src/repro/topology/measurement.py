@@ -25,33 +25,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
-import networkx as nx
 import numpy as np
 
-
-def two_hop_graph(hearing: nx.Graph) -> nx.Graph:
-    """Connect any two vertices within two hops of ``hearing``."""
-    expanded = nx.Graph()
-    expanded.add_nodes_from(hearing.nodes)
-    for node in hearing.nodes:
-        reach: Set = set(hearing.neighbors(node))
-        for neighbour in list(reach):
-            reach.update(hearing.neighbors(neighbour))
-        reach.discard(node)
-        for other in reach:
-            expanded.add_edge(node, other)
-    return expanded
+from .conflict_graph import Adjacency, V, two_hop_graph
 
 
-def beacon_rounds(hearing: nx.Graph) -> List[List[int]]:
+def _largest_first_colouring(graph: Adjacency[V]) -> Dict[V, int]:
+    """Greedy colouring, highest degree first, ties in insertion order;
+    each vertex takes the lowest colour no coloured neighbour holds
+    (networkx's ``greedy_color(G, "largest_first")``)."""
+    colours: Dict[V, int] = {}
+    for node in sorted(graph, key=lambda n: len(graph[n]), reverse=True):
+        taken = {colours[n] for n in graph[node] if n in colours}
+        colour = 0
+        while colour in taken:
+            colour += 1
+        colours[node] = colour
+    return colours
+
+
+def beacon_rounds(hearing: Adjacency[int]) -> List[List[int]]:
     """Greedy-colour the two-hop graph into concurrent beacon rounds.
 
     Returns rounds in colour order; every node appears exactly once.
     The number of rounds is at most ``delta + 1`` (greedy colouring
     bound), matching the paper's ``t(delta + 1)`` campaign length.
     """
-    expanded = two_hop_graph(hearing)
-    colouring = nx.coloring.greedy_color(expanded, strategy="largest_first")
+    colouring = _largest_first_colouring(two_hop_graph(hearing))
     n_rounds = max(colouring.values(), default=-1) + 1
     rounds: List[List[int]] = [[] for _ in range(n_rounds)]
     for node, colour in colouring.items():
@@ -61,26 +61,30 @@ def beacon_rounds(hearing: nx.Graph) -> List[List[int]]:
     return rounds
 
 
-def validate_rounds(hearing: nx.Graph, rounds: Sequence[Sequence[int]]) -> None:
+def validate_rounds(hearing: Adjacency[int],
+                    rounds: Sequence[Sequence[int]]) -> None:
     """Raise ``ValueError`` if any round risks beacon collisions."""
     expanded = two_hop_graph(hearing)
-    seen: Set = set()
+    seen: Set[int] = set()
     for index, round_nodes in enumerate(rounds):
         for i, a in enumerate(round_nodes):
+            if a not in expanded:
+                raise ValueError(
+                    f"round {index}: node {a} is not in the hearing graph")
             if a in seen:
                 raise ValueError(f"node {a} beacons twice")
             seen.add(a)
             for b in round_nodes[i + 1:]:
-                if expanded.has_edge(a, b):
+                if b in expanded[a]:
                     raise ValueError(
                         f"round {index}: {a} and {b} share an observer"
                     )
-    missing = set(hearing.nodes) - seen
+    missing = set(hearing) - seen
     if missing:
         raise ValueError(f"nodes never beacon: {sorted(missing)}")
 
 
-def campaign_overhead_fraction(hearing: nx.Graph,
+def campaign_overhead_fraction(hearing: Adjacency[int],
                                beacon_us: float = 40.0,
                                coherence_us: float = 125_100.0) -> float:
     """Fraction of airtime a periodic refresh campaign costs.

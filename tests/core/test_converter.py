@@ -49,7 +49,7 @@ class TestFakeInsertion:
         for slot in batch.slots:
             links = slot.links()
             for a, b in itertools.combinations(links, 2):
-                assert not graph.has_edge(a, b)
+                assert b not in graph[a]
                 assert not a.shares_node(b)
             assert imap.set_survives(links)
 
@@ -187,7 +187,7 @@ class TestRopInsertion:
             for a, b in itertools.combinations(aps, 2):
                 for la in ap_links[a]:
                     for lb in ap_links[b]:
-                        assert not graph.has_edge(la, lb)
+                        assert lb not in graph[la]
 
     def test_rop_flag_set_on_duties(self):
         topology = fig7_topology()

@@ -60,7 +60,7 @@ def test_property_converter_invariants(n_pairs, seed, batch_slots):
         for slot in batch.slots:
             slot_links = slot.links()
             for l1, l2 in itertools.combinations(slot_links, 2):
-                assert not graph.has_edge(l1, l2)
+                assert l2 not in graph[l1]
                 assert not l1.shares_node(l2)
             assert imap.set_survives(slot_links)
 
@@ -125,7 +125,7 @@ def test_property_rop_insertion_constraints(n_pairs, seed):
             assert not imap.in_cs_range(a, b)
             for la in ap_links[a]:
                 for lb in ap_links[b]:
-                    assert not graph.has_edge(la, lb)
+                    assert lb not in graph[la]
     # An AP polls at most once per batch.
     all_polls = [ap for aps in batch.rop_polls.values() for ap in aps]
     assert len(all_polls) == len(set(all_polls))

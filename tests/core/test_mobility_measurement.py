@@ -7,7 +7,6 @@ campaign rediscover the conflict and the scheduler separates them.
 """
 
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -17,16 +16,17 @@ from repro.service.revision import batch_digest
 from repro.sim.engine import Simulator
 from repro.sim.node import Network
 from repro.topology.builder import Topology
-from repro.topology.conflict_graph import build_conflict_graph
+from repro.topology.conflict_graph import build_conflict_graph, two_hop_graph
 from repro.topology.interference_map import InterferenceMap
 from repro.topology.links import Link
 from repro.topology.measurement import (ObservationStore, beacon_rounds,
                                         campaign_overhead_fraction,
-                                        two_hop_graph, validate_rounds)
+                                        validate_rounds)
 from repro.topology.mobility import move_node
 from repro.topology.propagation import LogDistanceModel, matrix_rss_fn
 from repro.topology.trace import SyntheticTrace
 from repro.traffic.udp import SaturatedSource
+from tests.graphs import path_graph, star_graph, undirected
 
 MODEL = LogDistanceModel(exponent=3.0, shadowing_sigma_db=0.0,
                          wall_loss_db=0.0, asymmetry_sigma_db=0.0)
@@ -58,42 +58,46 @@ def make_mobile_topology():
 # ----------------------------------------------------------------------
 class TestBeaconRounds:
     def test_rounds_cover_all_nodes_once(self):
-        hearing = nx.path_graph(7)
+        hearing = path_graph(7)
         rounds = beacon_rounds(hearing)
         validate_rounds(hearing, rounds)
 
     def test_two_hop_separation_enforced(self):
         # A star: every leaf is two hops from every other leaf through
         # the hub, so nobody can share a round.
-        hearing = nx.star_graph(5)
+        hearing = star_graph(5)
         rounds = beacon_rounds(hearing)
         validate_rounds(hearing, rounds)
         assert all(len(r) == 1 for r in rounds)
 
     def test_disconnected_nodes_share_one_round(self):
-        hearing = nx.empty_graph(6)
+        hearing = undirected(range(6))
         rounds = beacon_rounds(hearing)
         assert len(rounds) == 1
         assert sorted(rounds[0]) == list(range(6))
 
     def test_validate_rejects_collision(self):
-        hearing = nx.star_graph(3)
+        hearing = star_graph(3)
         with pytest.raises(ValueError):
             validate_rounds(hearing, [[1, 2], [0], [3]])
         with pytest.raises(ValueError):
             validate_rounds(hearing, [[0], [1]])  # 2, 3 never beacon
 
+    def test_validate_rejects_unknown_node(self):
+        with pytest.raises(ValueError, match="node 9"):
+            validate_rounds(path_graph(3), [[0], [1], [2], [9]])
+
     def test_overhead_matches_paper_arithmetic(self):
         """Delta = 40 star: 41 rounds of 40 us over 125.1 ms ~ 1.3 %."""
-        overhead = campaign_overhead_fraction(nx.star_graph(40))
+        overhead = campaign_overhead_fraction(star_graph(40))
         assert overhead == pytest.approx(41 * 40 / 125_100, rel=1e-6)
         assert 0.012 < overhead < 0.014
 
     def test_two_hop_graph_shape(self):
-        path = nx.path_graph(4)  # 0-1-2-3
+        path = path_graph(4)  # 0-1-2-3
         expanded = two_hop_graph(path)
-        assert expanded.has_edge(0, 2)
-        assert not expanded.has_edge(0, 3)
+        assert 2 in expanded[0]
+        assert 3 not in expanded[0]
 
 
 def test_observation_store_updates_matrix():
@@ -186,10 +190,8 @@ def test_campaign_patches_the_plane_like_a_fresh_build():
     fresh = build_conflict_graph(
         InterferenceMap(matrix_rss_fn(plane.rss), topology.profile),
         plane.links)
-    assert set(plane.graph.nodes) == set(fresh.nodes)
-    assert (set(map(frozenset, plane.graph.edges))
-            == set(map(frozenset, fresh.edges)))
-    assert plane.graph.has_edge(Link(0, 1), Link(2, 3))
+    assert plane.graph == fresh
+    assert Link(2, 3) in plane.graph[Link(0, 1)]
 
     aps = [ap.node_id for ap in topology.network.aps]
     ap_links = {ap: [l for l in plane.links

@@ -1,10 +1,10 @@
 """Tests for the strict schedule container."""
 
-import networkx as nx
 import pytest
 
 from repro.sched.strict_schedule import StrictSchedule
 from repro.topology.links import Link
+from tests.graphs import undirected
 
 
 def test_append_iter_getitem():
@@ -33,8 +33,7 @@ def test_service_counts():
 
 
 def test_validate_against_detects_conflict():
-    graph = nx.Graph()
-    graph.add_edge(Link(0, 1), Link(2, 3))
+    graph = undirected([Link(0, 1), Link(2, 3)], [(Link(0, 1), Link(2, 3))])
     bad = StrictSchedule()
     bad.append([Link(0, 1), Link(2, 3)])
     with pytest.raises(ValueError):

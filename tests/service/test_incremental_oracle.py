@@ -7,13 +7,12 @@ state.  A single mismatch raises :class:`OracleMismatch` and fails
 the test — this is the subsystem's core acceptance criterion.
 """
 
-import networkx as nx
 import pytest
 
 from repro.service import (Associate, ChurnConfig, ControllerService,
                            Disassociate, IncrementalController,
-                           NetworkState, QueueUpdate, ServiceConfig,
-                           churn_events)
+                           NetworkState, QueueUpdate, RssDelta,
+                           ServiceConfig, churn_events)
 from repro.topology.builder import fig7_topology, random_t_topology
 from repro.topology.conflict_graph import build_conflict_graph
 
@@ -33,9 +32,7 @@ def assert_graph_fresh(engine):
     """The incrementally maintained conflict graph must equal a
     from-scratch build over the final state."""
     fresh = build_conflict_graph(engine.plane.imap, engine.state.links)
-    assert set(engine.plane.graph.nodes) == set(fresh.nodes)
-    assert (set(map(frozenset, engine.plane.graph.edges))
-            == set(map(frozenset, fresh.edges)))
+    assert engine.plane.graph == fresh
 
 
 class TestChurnOracle:
@@ -104,11 +101,33 @@ class TestMembershipEdgeCases:
         assert 1 not in engine.state.clients
         assert all(1 not in (l.src, l.dst) for l in engine.state.links)
         assert all(1 not in (l.src, l.dst) for l in engine.plane.scheduler.queue)
-        assert all(1 not in (l.src, l.dst) for l in engine.plane.graph.nodes)
+        assert all(1 not in (l.src, l.dst) for l in engine.plane.graph)
         assert_graph_fresh(engine)
         # And the network keeps scheduling correctly afterwards.
         service.run_events([QueueUpdate(t_us=20_000.0, src=2, dst=3,
                                         backlog=4.0)])
+
+    def test_cross_cell_flip_after_idle_client_leaves(self):
+        """Cache entries whose per-AP table still names a departed
+        client's links survive the Disassociate (none of them was
+        scheduled); a later RSS change that flips an edge between the
+        two polled cells re-evaluates the ROP sharing verdict over
+        that table and must treat the departed links as edgeless
+        (regression: the lookup raised KeyError out of the service)."""
+        # AP 0 serves clients 1-3, AP 4 serves clients 5-7.
+        engine, service = self.service_for(random_t_topology(2, 3, seed=4))
+        service.run_events([QueueUpdate(t_us=0.0, src=3, dst=0,
+                                        backlog=2.0)])
+        service.run_events([Disassociate(t_us=10_000.0, client=6)])
+        before = {link: set(nbrs) for link, nbrs in engine.plane.graph.items()}
+        stats = service.run_events([RssDelta(t_us=20_000.0, node=7,
+                                             rss_to={0: -50.0},
+                                             rss_from={0: -50.0})])
+        after = engine.plane.graph
+        assert any(before[a] != after[a] and 7 in (a.src, a.dst)
+                   for a in after)  # a cell-4 link's edges changed
+        assert stats.oracle_checks == stats.revisions == 3
+        assert_graph_fresh(engine)
 
     def test_stale_queue_report_ignored(self):
         engine, service = self.service_for(fig7_topology())

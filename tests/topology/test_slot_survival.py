@@ -14,7 +14,6 @@ where a reordered or dropped term would flip them.
 
 import itertools
 
-import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.core.converter import ConverterConfig, ScheduleConverter
@@ -25,6 +24,7 @@ from repro.topology.conflict_graph import (build_conflict_graph,
                                            greedy_maximal_extension)
 from repro.topology.interference_map import InterferenceMap
 from repro.topology.links import Link
+from tests.graphs import undirected
 
 MARGIN_DB = 3.0
 NO_PATH = float("-inf")  # unreachable: 0 mW
@@ -106,7 +106,7 @@ def ref_build_slot(graph, imap, queue, demands):
     for link in queue:
         if demands.get(link, 0) <= 0:
             continue
-        if any(graph.has_edge(link, chosen) for chosen in slot):
+        if any(chosen in graph[link] for chosen in slot):
             continue
         if not ref_set_survives(imap, [*slot, link]):
             continue
@@ -122,7 +122,7 @@ def ref_fake_accepts(graph, imap, cand, chosen, excluded):
         return False
     if any(cand.shares_node(link) for link in chosen):
         return False
-    if any(graph.has_edge(cand, link) for link in chosen):
+    if any(link in graph[cand] for link in chosen):
         return False
     return ref_set_survives(imap, [*chosen, cand])
 
@@ -211,8 +211,7 @@ def test_failing_base_lets_no_candidate_in():
     imap = InterferenceMap(rss, DOT11G, margin_db=MARGIN_DB)
     base = [Link(0, 1), Link(2, 3), Link(4, 5)]
     far = Link(6, 7)
-    graph = nx.Graph()
-    graph.add_nodes_from([*base, far])
+    graph = undirected([*base, far])
     assert not imap.set_survives(base)
     assert imap.set_survives([Link(0, 1), Link(2, 3), far])
     assert greedy_maximal_extension(graph, base, [far], imap) == base
