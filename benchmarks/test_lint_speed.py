@@ -1,7 +1,7 @@
 """Lint-speed guard: the dataflow engine must not tax the edit loop.
 
-dominolint v2 parses the *whole* src tree on every run (the taint and
-transitive phases need the full program view), which without care
+dominolint v2 parses the *whole* src tree on every run (the taint
+phase needs the full program view), which without care
 would turn a sub-second pre-commit check into a multi-second stall.
 The content-hash cache (:mod:`repro.lint.cache`) is the fix: a warm
 run re-parses nothing and only replays serialized facts.

@@ -16,8 +16,10 @@ patterns that break it *at commit time*:
 * **Layering rules (DOM2xx)** — the allowed-dependency DAG between
   ``repro.*`` packages, declared in ``[tool.dominolint.layers]`` in
   ``pyproject.toml``; an import edge not in the table is an error
-  (DOM201), and the whole import graph is checked for cycles and
-  transitive escapes the per-edge check cannot see (DOM203).
+  (DOM201), and so is a package with no row (DOM202).  No inline
+  comment silences them, and a table whose non-``"*"`` rows form a
+  cycle or name a ``"*"`` package is bad input, so legal edges never
+  chain into a cycle or a transitive escape.
 * **Telemetry-schema rules (DOM3xx)** — every event emission in
   ``src/`` must name a kind registered in
   :mod:`repro.telemetry.events` with a matching shape, and changing an
@@ -50,9 +52,10 @@ Suppress a deliberate violation on its own line::
     if self.time != other.time:  # dominolint: disable=DOM104
 
 Multiple rules comma-separate (``disable=DOM101,DOM104``); ``all``
-silences every rule on the line.  Each suppression should carry a
-justifying comment — the escape hatch exists for the handful of spots
-where the pattern is deliberate, not as a bulk mute.
+silences every rule on the line except the layering rules, whose
+only exceptions are layers-table rows.  Each suppression should carry
+a justifying comment — the escape hatch exists for the handful of
+spots where the pattern is deliberate, not as a bulk mute.
 
 The implementation is stdlib-only (``ast`` + ``tomllib``) on purpose:
 the linter guards the dependency floor, so it must not raise it.

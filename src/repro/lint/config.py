@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 try:  # Python >= 3.11; the lint gate runs on 3.12 in CI.
     import tomllib
@@ -39,8 +39,11 @@ class Config:
         Everything else — runner progress bars, benchmarks, telemetry's
         own wall-clock plumbing — is exempt by omission.
     layers:
-        Allowed-dependency DAG: package -> packages it may import.
-        ``"*"`` marks a top layer that may import anything.
+        Allowed-dependency DAG: package -> packages it may import
+        (besides itself and the distribution root, which every
+        package may import).  ``"*"`` marks a top layer that may
+        import anything; :func:`load_config` rejects a table whose
+        other rows form a cycle or name a ``"*"`` package.
     schema_events / schema_recorder / schema_baseline:
         The telemetry schema's source of truth, the typed-helper
         signatures, and the committed shape fingerprint for DOM303.
@@ -63,10 +66,6 @@ class Config:
         Modules whose calls are *blessed* wall-clock/RNG boundaries —
         taint (DOM101/DOM102 call hops) does not propagate through them.  The
         repo's one sanctioned example is ``repro.telemetry.wallclock``.
-    transitive_waivers:
-        ``"pkg.a -> pkg.b"`` edges the transitive layering check
-        (DOM203) ignores.  Each waiver is a reviewed artifact, exactly
-        like a layers-table row.
     """
 
     root: Path
@@ -82,7 +81,6 @@ class Config:
         "engine", "registry", "state", "controller", "cache")
     pool_packages: Tuple[str, ...] = ()
     taint_sanitizers: Tuple[str, ...] = ()
-    transitive_waivers: Tuple[Tuple[str, str], ...] = ()
 
     def dep_declared(self, top_module: str) -> bool:
         """Is the top-level import name covered by a declared dep?
@@ -154,6 +152,47 @@ def _requirement_name(spec: str) -> Optional[str]:
     return match.group(1) if match else None
 
 
+def _check_layers(layers: Dict[str, Tuple[str, ...]]) -> None:
+    """Reject a table under which legal edges could leave the DAG.
+
+    Rows without ``"*"`` must form a DAG that names no ``"*"`` row,
+    counting the implicit edge from each package to its distribution
+    root.  Then every edge DOM201 lets through stays inside the
+    importer's allowed closure, and only ``"*"`` rows can share a
+    cycle.
+    """
+    top = {pkg for pkg, allowed in layers.items() if "*" in allowed}
+    edges: Dict[str, List[str]] = {}
+    for package in sorted(set(layers) - top):
+        root = package.split(".")[0]
+        implicit = [] if root == package else [root]
+        edges[package] = [*layers[package], *implicit]
+        for dep in edges[package]:
+            if dep in top:
+                raise ConfigError(
+                    f"[tool.dominolint.layers] {package} may import "
+                    f"{dep}, whose row is \"*\"; only a \"*\" row may "
+                    f"import a \"*\" package")
+    done: Set[str] = set()
+    path: List[str] = []
+
+    def visit(package: str) -> None:
+        path.append(package)
+        for dep in edges.get(package, ()):
+            if dep in path:
+                loop = " -> ".join(path[path.index(dep):] + [dep])
+                raise ConfigError(
+                    f"[tool.dominolint.layers] rows form a cycle: {loop}")
+            if dep not in done:
+                visit(dep)
+        path.pop()
+        done.add(package)
+
+    for package in edges:
+        if package not in done:
+            visit(package)
+
+
 def find_pyproject(start: Path) -> Path:
     """Walk up from ``start`` to the nearest ``pyproject.toml``."""
     current = start.resolve()
@@ -209,15 +248,7 @@ def load_config(start: Optional[Path] = None) -> Config:
             )
         layers[str(package)] = tuple(allowed)
 
-    waivers = []
-    for entry in _strings("transitive-waivers"):
-        parts = [part.strip() for part in entry.split("->")]
-        if len(parts) != 2 or not all(parts):
-            raise ConfigError(
-                "[tool.dominolint] transitive-waivers entries must look "
-                f"like 'pkg.a -> pkg.b' (got {entry!r})"
-            )
-        waivers.append((parts[0], parts[1]))
+    _check_layers(layers)
 
     guarded = _strings("async-guarded-attrs")
 
@@ -249,5 +280,4 @@ def load_config(start: Optional[Path] = None) -> Config:
                              else Config.async_guarded_attrs),
         pool_packages=tuple(_strings("pool-packages")),
         taint_sanitizers=tuple(_strings("taint-sanitizers")),
-        transitive_waivers=tuple(waivers),
     )

@@ -4,17 +4,17 @@ v2 runs in two phases:
 
 1. **Per-file** — extraction of the module's facts (import sites,
    clock/RNG calls, function summaries; :mod:`repro.lint.callgraph`),
-   the import rules read off those facts (DOM201/DOM202 direct
-   layering, DOM401 deps) and the syntactic families (DOM103/DOM104
+   the import rules read off those facts (DOM201/DOM202 layering,
+   DOM401 deps) and the syntactic families (DOM103/DOM104
    determinism, DOM3xx telemetry, DOM5xx async/pool).  This phase is
    pure per file, so its output is cached by content hash
    (:mod:`repro.lint.cache`).
 2. **Whole-program** — DOM101/DOM102 (wall-clock and RNG values
-   reaching sim code, directly or through call hops) and DOM203
-   (transitive layering) over the :class:`ProgramIndex` built from
-   *every* module under ``src-root``, regardless of which paths were
-   requested; findings are then filtered down to the requested paths
-   so ``python -m repro.lint src/repro/sim`` still sees taint arriving
+   reaching sim code, directly or through call hops) over the
+   :class:`ProgramIndex` built from *every* module under
+   ``src-root``, regardless of which paths were requested; findings
+   are then filtered down to the requested paths so
+   ``python -m repro.lint src/repro/sim`` still sees taint arriving
    from a helper in another package.
 """
 
@@ -33,7 +33,7 @@ from .config import Config, ConfigError, load_config
 from .deps import check_dependencies
 from .determinism import check_determinism
 from .findings import Finding, Suppressions
-from .layering import check_layering, check_transitive
+from .layering import check_layering
 from .rules_async import check_async
 from .sarif import render_sarif
 from .schema import (SchemaError, SchemaRegistry, check_baseline,
@@ -72,15 +72,17 @@ def analyze_source(source: str, path: Path, config: Config,
                    ) -> Tuple[List[Finding], Optional[ModuleFacts]]:
     """Phase-1 output for one file: findings + cross-file facts.
 
-    Findings come back post-suppression; facts carry the suppression
-    table so phase 2 can honour inline disables without re-reading
-    the source.  Raises ``SyntaxError`` upward.
+    Findings come back post-suppression, except layering findings,
+    which no comment silences; facts carry the suppression table so
+    phase 2 can honour inline disables without re-reading the source.
+    Raises ``SyntaxError`` upward.
     """
     tree = ast.parse(source, filename=str(path))
     rel = _relpath(path, config.root)
     module = config.module_name(path)
     suppressions = Suppressions(source)
     findings: List[Finding] = []
+    layering: List[Finding] = []
     facts: Optional[ModuleFacts] = None
     if module is not None:
         facts = extract_facts(tree, module, rel,
@@ -89,11 +91,11 @@ def analyze_source(source: str, path: Path, config: Config,
         if config.in_sim_packages(module):
             findings.extend(check_determinism(tree, rel))
             findings.extend(check_dependencies(facts, config))
-        findings.extend(check_layering(facts, config))
+        layering = check_layering(facts, config)
         if registry is not None:
             findings.extend(check_emissions(tree, rel, registry))
         findings.extend(check_async(tree, module, rel, config))
-    return suppressions.filter(findings), facts
+    return [*suppressions.filter(findings), *layering], facts
 
 
 def _whole_program_findings(index: ProgramIndex, config: Config,
@@ -103,8 +105,7 @@ def _whole_program_findings(index: ProgramIndex, config: Config,
         facts.path: facts for facts in index.modules.values()
     }
     out: List[Finding] = []
-    for finding in [*check_taint(index, config),
-                    *check_transitive(index, config)]:
+    for finding in check_taint(index, config):
         if finding.path not in target_rels:
             continue
         facts = facts_by_path.get(finding.path)

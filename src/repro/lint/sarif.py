@@ -20,23 +20,24 @@ _SCHEMA_URI = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: One-line rule descriptions for the SARIF rule table.  Keep in sync
-#: with the reference table in DESIGN.md.
+#: One-line rule descriptions for the SARIF rule table: the "fires
+#: when" column of DESIGN.md's rule reference, without code marks.
 RULE_DESCRIPTIONS: Dict[str, str] = {
-    "DOM101": "wall-clock value reaches sim code, directly or via calls",
-    "DOM102": "unseeded or process-global RNG value reaches sim code",
-    "DOM103": "iteration over an unordered container into sim state",
-    "DOM104": "float accumulation hazard in sim-layer reductions",
-    "DOM201": "import violates the declared layering DAG",
-    "DOM202": "package missing from the layering DAG",
-    "DOM203": "package import cycle or transitive layering escape",
-    "DOM301": "unknown telemetry event name",
-    "DOM302": "telemetry emission field mismatch",
-    "DOM303": "telemetry schema drifted from committed baseline",
-    "DOM401": "sim-layer import of an undeclared dependency",
-    "DOM501": "guarded state mutated across an await boundary",
-    "DOM502": "asyncio task created and immediately discarded",
-    "DOM503": "unpicklable callable handed to a process pool",
+    "DOM101": "wall-clock value reaches a sim package (import, direct "
+              "read, or call hops)",
+    "DOM102": "unseeded / process-global RNG value reaches a sim package "
+              "(import, direct call, or call hops)",
+    "DOM103": "iterating a syntactically set-typed expression",
+    "DOM104": "==/!= between float timestamps",
+    "DOM201": "import edge absent from the layers DAG",
+    "DOM202": "module's package not declared in the layers table",
+    "DOM301": "emission of an unknown event kind",
+    "DOM302": "emission arity/field mismatch against the registry",
+    "DOM303": "event registry drifted from the committed baseline",
+    "DOM401": "sim-core import outside the declared dependency list",
+    "DOM501": "guarded-state mutation across an await boundary",
+    "DOM502": "fire-and-forget create_task/ensure_future",
+    "DOM503": "lambda / nested fn / bound method handed to a process pool",
 }
 
 

@@ -9,11 +9,9 @@ with perfect synchronization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence
 
-from ..topology.conflict_graph import Adjacency
 from ..topology.links import Link
 
 
@@ -50,12 +48,3 @@ class StrictSchedule:
             for link in slot:
                 counts[link] = counts.get(link, 0) + 1
         return counts
-
-    def validate_against(self, conflict_graph: Adjacency[Link]) -> None:
-        """Raise ``ValueError`` if any slot contains conflicting links."""
-        for idx, slot in enumerate(self.slots):
-            for l1, l2 in itertools.combinations(slot, 2):
-                if l2 in conflict_graph[l1]:
-                    raise ValueError(
-                        f"slot {idx} schedules conflicting links {l1} and {l2}"
-                    )

@@ -10,9 +10,9 @@ from .builder import (Topology, TopologyError, build_t_topology,
                       fig1_topology, fig7_topology, fig13a_topology,
                       fig13b_topology, random_t_topology, usrp_pair_topology)
 from .interference_map import InterferenceMap
-from .conflict_graph import (ConflictGraphUpdateCost, build_conflict_graph,
-                             greedy_maximal_extension, hearing_graph,
-                             is_independent_set, two_hop_graph)
+from .conflict_graph import (build_conflict_graph, greedy_maximal_extension,
+                             hearing_graph, is_independent_set,
+                             two_hop_graph)
 from .links import Link
 from .measurement import (ObservationStore, beacon_rounds,
                           campaign_overhead_fraction, validate_rounds)
@@ -24,7 +24,7 @@ from .trace import (ROP_TOLERANCE_DB, SyntheticTrace, manual_trace,
                     two_building_trace)
 
 __all__ = [
-    "Building", "ConflictGraphUpdateCost", "Link", "LogDistanceModel",
+    "Building", "Link", "LogDistanceModel",
     "NS3_DEFAULT", "ObservationStore", "ROP_TOLERANCE_DB",
     "SyntheticTrace", "Topology", "TopologyError", "TwoBuildingLayout",
     "beacon_rounds", "build_conflict_graph", "build_t_topology",

@@ -10,10 +10,9 @@ Every graph here is a plain adjacency dict (vertex -> neighbour set,
 each edge stored both ways) that only this module's functions write;
 readers ask ``b in graph[a]``, ``a in graph`` and ``len(graph[a])``.
 
-Also implements the Sec. 5 discussion formula for the cost of keeping
-the conflict graph fresh under mobility:
-``overhead = t * (delta + 1) / coherence_time`` where ``delta`` is the
-maximum degree of the two-hop connected graph.
+The node-level hearing graph and its two-hop expansion live here too;
+:mod:`repro.topology.measurement` colours the latter into the Sec. 5
+beacon campaign.
 """
 
 from __future__ import annotations
@@ -168,31 +167,6 @@ def greedy_maximal_extension(graph: Adjacency[Link], base: Sequence[Link],
         chosen.append(cand)
         used.update(cand)
     return chosen
-
-
-@dataclass
-class ConflictGraphUpdateCost:
-    """Sec. 5 estimate of dynamic conflict-graph maintenance overhead."""
-
-    beacon_time_us: float = 40.0
-    coherence_time_us: float = 125_100.0  # 125.1 ms walking coherence
-
-    def two_hop_max_degree(self, hearing: Adjacency[int]) -> int:
-        """Max degree of the two-hop connected graph of ``hearing``.
-
-        ``hearing`` is the node-level interference graph (who hears
-        whom); two nodes are connected in the two-hop graph when they
-        are within two hops.
-        """
-        return max(map(len, two_hop_graph(hearing).values()), default=0)
-
-    def overhead_fraction(self, hearing: Adjacency[int]) -> float:
-        """Fraction of airtime spent re-measuring the conflict graph.
-
-        With delta = 40 and 40 us beacons the paper computes 1.3 %.
-        """
-        delta = self.two_hop_max_degree(hearing)
-        return self.beacon_time_us * (delta + 1) / self.coherence_time_us
 
 
 def hearing_graph(imap: "InterferenceMap",

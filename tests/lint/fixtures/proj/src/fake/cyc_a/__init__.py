@@ -1,4 +1,4 @@
-"""One half of the DOM203 cycle fixture: a table-legal edge to cyc_b."""
+"""One half of the cycle fixture: a table-legal edge to cyc_b."""
 
 from ..cyc_b import ping
 

@@ -1,8 +1,8 @@
-"""Other half of the cycle: a lazy, DOM201-suppressed import back.
+"""Other half of the cycle: a lazy import back, under a DOM201 comment.
 
-The per-edge rule is silenced in place — exactly how the historical
-``topology -> sched`` cycle survived — so only the transitive check
-(DOM203) can see the loop.
+An inline ``disable=DOM201`` is how the historical ``topology ->
+sched`` cycle once survived.  Layering findings ignore such comments,
+so the edge closing the loop is still a DOM201 finding.
 """
 
 

@@ -1,1 +1,1 @@
-"""Bottom-layer package for the transitive-leak fixture."""
+"""Bottom-layer package for the suppressed-edge fixture."""

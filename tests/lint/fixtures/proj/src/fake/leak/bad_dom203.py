@@ -1,8 +1,8 @@
-"""DOM203 fixture: a suppressed direct edge still leaks transitively.
+"""A ``disable=DOM201`` comment does not excuse a layering edge.
 
-The inline suppression pays for the ``leak -> sim`` edge itself, but
-everything sim reaches (telemetry, helpers) now flows into a package
-whose layers row allows nothing — the structural rule still fires.
+Were it honoured, ``leak`` would reach everything ``sim`` reaches
+(telemetry, helpers) although its layers row allows nothing; the
+edge stays a DOM201 finding instead.
 """
 
 from ..sim import good  # dominolint: disable=DOM201

@@ -3,6 +3,8 @@ that the live tree lints clean."""
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import load_config, main
 
 from .conftest import FIXTURES, PROJ, REPO_ROOT, run_lint
@@ -39,6 +41,26 @@ def test_exit_two_on_missing_config_table(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["src"]) == 2
     assert "[tool.dominolint]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ('"a.x" = ["a.y"]\n"a.y" = ["a.z"]\n"a.z" = ["a.x"]\n',
+     "cycle: a.x -> a.y -> a.z -> a.x"),
+    ('"a.top" = ["*"]\n"a.x" = ["a.top"]\n',
+     'a.x may import a.top, whose row is "*"'),
+    # Every package may import its root, so a "*" root is an open door.
+    ('"a" = ["*"]\n"a.x" = []\n',
+     'a.x may import a, whose row is "*"'),
+], ids=["cycle", "names-star-row", "star-root"])
+def test_exit_two_on_layers_outside_the_dag(tmp_path, monkeypatch, capsys,
+                                             rows, reason):
+    (tmp_path / "pyproject.toml").write_text(
+        "[tool.dominolint]\n[tool.dominolint.layers]\n" + rows)
+    monkeypatch.chdir(tmp_path)
+    assert main(["src"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dominolint: ")
+    assert reason in lines[0]
 
 
 def test_main_resolves_config_from_cwd(monkeypatch, capsys):

@@ -17,8 +17,8 @@ BAD_FIXTURES = [
     ("src/fake/sim/bad_dom401.py", "DOM401"),
     ("src/fake/util/bad_dom201.py", "DOM201"),
     ("src/fake/rogue/bad_dom202.py", "DOM202"),
-    ("src/fake/leak/bad_dom203.py", "DOM203"),
-    ("src/fake/cyc_b/__init__.py", "DOM203"),
+    ("src/fake/leak/bad_dom203.py", "DOM201"),
+    ("src/fake/cyc_b/__init__.py", "DOM201"),
     ("src/fake/app/bad_dom301.py", "DOM301"),
     ("src/fake/app/bad_dom302.py", "DOM302"),
     ("src/fake/svc/bad_dom501.py", "DOM501"),
@@ -80,6 +80,23 @@ def test_suppression_is_rule_specific(proj_config):
         target.unlink()
     assert code == 1
     assert "DOM101" in err
+
+
+@pytest.mark.parametrize("comment", ["disable=DOM201", "disable=all"])
+def test_comment_cannot_silence_layering(tmp_path, comment):
+    """A layering exception is a layers-table row, never a comment."""
+    from repro.lint import load_config
+
+    copy = tmp_path / "proj"
+    shutil.copytree(PROJ, copy)
+    target = copy / "src/fake/util/tmp_lazy_edge.py"
+    target.write_text(
+        "def load():\n"
+        f"    from ..helpers import lure  # dominolint: {comment}\n"
+        "    return lure\n")
+    code, err = run_lint([target], load_config(copy))
+    assert code == 1
+    assert [line.split(" ")[1] for line in err.splitlines()] == ["DOM201"]
 
 
 def test_stale_baseline_is_dom303(stale_config):

@@ -1,10 +1,7 @@
 """Tests for the strict schedule container."""
 
-import pytest
-
 from repro.sched.strict_schedule import StrictSchedule
 from repro.topology.links import Link
-from tests.graphs import undirected
 
 
 def test_append_iter_getitem():
@@ -30,18 +27,6 @@ def test_service_counts():
     counts = schedule.service_counts()
     assert counts[Link(0, 1)] == 2
     assert counts[Link(2, 3)] == 1
-
-
-def test_validate_against_detects_conflict():
-    graph = undirected([Link(0, 1), Link(2, 3)], [(Link(0, 1), Link(2, 3))])
-    bad = StrictSchedule()
-    bad.append([Link(0, 1), Link(2, 3)])
-    with pytest.raises(ValueError):
-        bad.validate_against(graph)
-    good = StrictSchedule()
-    good.append([Link(0, 1)])
-    good.append([Link(2, 3)])
-    good.validate_against(graph)  # no raise
 
 
 def test_link_helpers():

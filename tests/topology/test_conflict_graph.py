@@ -3,13 +3,19 @@
 import pytest
 
 from repro.topology.builder import fig7_topology, fig13a_topology
-from repro.topology.conflict_graph import (ConflictGraphUpdateCost,
-                                           build_conflict_graph,
+from repro.topology.conflict_graph import (build_conflict_graph,
                                            greedy_maximal_extension,
                                            hearing_graph,
-                                           is_independent_set)
+                                           is_independent_set,
+                                           two_hop_graph)
 from repro.topology.links import Link
+from repro.topology.measurement import campaign_overhead_fraction
 from tests.graphs import path_graph, star_graph
+
+
+def two_hop_max_degree(hearing):
+    """The paper's delta: the two-hop graph's maximum degree."""
+    return max(map(len, two_hop_graph(hearing).values()), default=0)
 
 
 def test_fig7_downlink_graph_edges():
@@ -54,26 +60,23 @@ def test_greedy_maximal_extension():
 
 def test_update_cost_formula_matches_paper():
     """Sec. 5: delta=40, 40 us beacons, 125.1 ms coherence -> ~1.3 %."""
-    cost = ConflictGraphUpdateCost()
     star = star_graph(40)  # center has degree 40
     # two-hop graph of a star is complete: every leaf reaches every
     # other leaf through the hub -> max degree stays 40.
-    assert cost.two_hop_max_degree(star) == 40
-    overhead = cost.overhead_fraction(star)
+    assert two_hop_max_degree(star) == 40
+    overhead = campaign_overhead_fraction(star)
     assert overhead == pytest.approx(40e-6 * 41 / 125.1e-3, rel=1e-6)
     assert 0.012 < overhead < 0.014
 
 
 def test_two_hop_degree_on_path():
-    cost = ConflictGraphUpdateCost()
     path = path_graph(5)  # 0-1-2-3-4
     # node 2 reaches 0,1,3,4 within two hops.
-    assert cost.two_hop_max_degree(path) == 4
+    assert two_hop_max_degree(path) == 4
 
 
 def test_two_hop_degree_empty_graph():
-    cost = ConflictGraphUpdateCost()
-    assert cost.two_hop_max_degree({}) == 0
+    assert two_hop_max_degree({}) == 0
 
 
 def test_hearing_graph_uses_cs_range():
