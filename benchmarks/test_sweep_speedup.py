@@ -9,15 +9,16 @@ pool, then asserts the engine's two promises:
 * **speedup** — with >= 4 workers on a >= 4-core box the parallel run
   finishes >= 2.5x faster.  A smaller box cannot physically show a
   speedup, so there the ratio is neither asserted nor published — the
-  snapshot records ``"skipped_reason": "cores<4"`` and the trend entry
-  carries the serial throughput — but identity is still checked.
+  snapshot records ``"skipped_reason": "cores<4"`` — but identity is
+  still checked;
+* **work** — the sweep's simulator event total is a deterministic
+  output, asserted exactly (:data:`TOTAL_EVENTS`): a move means the
+  simulated work changed, whatever the machine.
 
 The worker count follows ``SWEEP_BENCH_WORKERS`` (default: 4 capped
-to the core count) so CI can pin a reproducible pool size.  Numbers
-land in ``BENCH_sweep.json`` (latest snapshot) and the
-``sweep_events_per_sec`` throughput metric joins the
-``BENCH_history.jsonl`` trend gate — a > 15 % drop against the
-recorded median fails the build.
+to the core count) so CI can pin a reproducible pool size.  Numbers,
+throughput included, land in ``BENCH_sweep.json`` (latest snapshot)
+for people to read.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import os
 
 from repro.experiments.fig14_random import sweep_points
 from repro.runner import run_sweep, write_sweep_report
-
-import trend
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_ROOT, "BENCH_sweep.json")
@@ -40,6 +39,7 @@ M, N = 8, 2                       # T(8,2) keeps one point mid-sized
 HORIZON_US = 250_000.0
 MIN_SPEEDUP = 2.5
 SPEEDUP_WORKERS = 4               # the floor only applies at this scale
+TOTAL_EVENTS = 481191             # simulator events over every point
 
 
 def bench_points():
@@ -58,8 +58,8 @@ def test_sweep_speedup_and_identity():
     digests_identical = serial.digests() == parallel.digests()
     # A sub-SPEEDUP_WORKERS box cannot show a speedup, only pool
     # overhead: publishing its sub-1x ratio as "the speedup" would
-    # poison the snapshot and the trend history, so the ratio is
-    # withheld and the snapshot says why instead.
+    # poison the snapshot, so the ratio is withheld and the snapshot
+    # says why instead.
     measurable = workers >= SPEEDUP_WORKERS and cores >= SPEEDUP_WORKERS
     speedup = (serial.wall_s / parallel.wall_s
                if measurable and parallel.wall_s else None)
@@ -85,23 +85,9 @@ def test_sweep_speedup_and_identity():
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    metrics = {
-        "serial_s": round(serial.wall_s, 4),
-        "parallel_s": round(parallel.wall_s, 4),
-        # Throughput stays honest either way: on a measurable box the
-        # pool's rate is the bench's product; below that the serial
-        # rate is the only meaningful one.
-        "sweep_events_per_sec": round(
-            (parallel if measurable else serial).events_per_sec, 1),
-        "total_events": serial.total_events,
-    }
-    if speedup is not None:
-        metrics["speedup"] = round(speedup, 4)
-    trend.append("sweep_speedup", metrics)
-
     # Untimed third pass with worker-side diagnosis for the HTML
     # artifact CI uploads — kept out of the timed runs above so the
-    # doctor/causality cost never skews the gated throughput metric.
+    # doctor/causality cost never skews the published throughput.
     diagnosed = run_sweep(points, workers=workers, trace=True,
                           diagnose=True)
     diagnosed.save_json(SWEEP_JSON_PATH)
@@ -113,6 +99,8 @@ def test_sweep_speedup_and_identity():
         "parallel sweep diverged from serial", serial.digests(),
         parallel.digests())
     assert serial.total_events == parallel.total_events
+    assert serial.total_events == TOTAL_EVENTS, (
+        f"sweep ran {serial.total_events} events, pinned {TOTAL_EVENTS}")
     # Observability must not perturb the simulation: same digests with
     # diagnosis on.
     assert diagnosed.digests() == serial.digests()

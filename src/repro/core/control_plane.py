@@ -23,7 +23,7 @@ from ..topology.conflict_graph import (ConflictDelta, add_vertices,
 from ..topology.interference_map import InterferenceMap
 from ..topology.links import Link
 from ..topology.propagation import matrix_rss_fn
-from .conversion_cache import ConversionCache, conversion_topology_key
+from .conversion_cache import ConversionCache
 from .converter import ConverterConfig, ScheduleConverter
 from .relative_schedule import RelativeBatch, TriggerDuty
 
@@ -68,8 +68,7 @@ class ControlPlane:
         self.scheduler = RandScheduler(self.graph, queue, imap=self.imap)
         self.cache: Optional[ConversionCache] = None
         if _parent is None:
-            self.cache = ConversionCache(conversion_topology_key(
-                rss, self.links, converter))
+            self.cache = ConversionCache()
             self.converter = ScheduleConverter(
                 self.imap, self.graph, fake_candidates=self.links,
                 config=converter, cache=self.cache)
@@ -125,12 +124,9 @@ class ControlPlane:
         if lap is not None:
             lap("conflict_us")
         # 4. Fake candidates follow the universe order.  5. Cache
-        #    entries migrate to the new key iff they provably cannot
-        #    diverge.
+        #    entries stay iff they provably cannot diverge.
         self.converter.fake_candidates = list(self.links)
         self.converter.revalidate_cache(
-            conversion_topology_key(self.rss, self.links,
-                                    self.converter.config),
             set(dirty_links) | set(removed), dirty,
             changed_pairs=conflict.pairs)
         if lap is not None:

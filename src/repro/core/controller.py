@@ -47,9 +47,6 @@ class ControllerConfig:
     demand_cap: int = 12          # max packets scheduled per link per batch
     poll_every_batch: bool = True
     converter: ConverterConfig = field(default_factory=ConverterConfig)
-    #: Watchdog: if a dispatched batch never reports "started" within
-    #: this many nominal batch durations, dispatch the next one anyway.
-    watchdog_batches: float = 1.5
     #: Sec. 5 coexistence: interleave contention periods (CoP) between
     #: batches (the CFPs) so external networks get fair airtime.
     #: ``None`` disables coexistence (back-to-back batches).
@@ -273,6 +270,9 @@ class DominoController:
     # ------------------------------------------------------------------
     MEASURE_ROUND_US = 60.0        # beacon airtime + turnaround guard
     MEASURE_REPORT_ROUND_US = 250.0
+    #: Watchdog: if a dispatched batch never reports "started" within
+    #: this many nominal batch durations, dispatch the next one anyway.
+    WATCHDOG_BATCHES = 1.5
 
     def run_measurement_campaign(self, delay_us: float = 0.0) -> None:
         """Refresh the interference map with a beacon campaign.
@@ -388,7 +388,7 @@ class DominoController:
             self._watchdog.cancel()
         some_mac = next(iter(self.macs.values()))
         nominal = (len(batch.slots) or 1) * some_mac.timing.slot_duration_us
-        delay = self.config.watchdog_batches * nominal + 2_000.0
+        delay = self.WATCHDOG_BATCHES * nominal + 2_000.0
         self._watchdog = self.sim.schedule(delay, self._watchdog_fire,
                                            batch.batch_id)
 

@@ -4,10 +4,10 @@ plane hot spot).
 The converter's output is a pure function of
 
 * the **control plane**: measured RSS matrix, link universe and
-  converter config (together hashed into a *topology key*; after an
-  RSS or membership change — a service delta or a measurement
-  campaign alike — entries that provably still replay identically
-  migrate to the new key and the rest are evicted);
+  converter config.  A cache belongs to exactly one control plane, so
+  none of these is part of the key; after an RSS or membership change
+  — a service delta or a measurement campaign alike — entries that
+  provably still replay identically stay and the rest are evicted;
 * the **backlog-derived inputs** of one call: the padded strict
   schedule, the ROP AP list and the per-AP association links;
 * the **connector** retained from the previous batch — only its entry
@@ -34,12 +34,9 @@ telemetry session is active, as ``converter.cache.hits`` /
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .. import telemetry
 from ..topology.links import Link
@@ -49,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from typing import Callable, FrozenSet, Iterable
 
     from ..sched.strict_schedule import StrictSchedule
-    from .converter import ConverterConfig
 
 #: Opaque-but-hashable composite cache key (see :meth:`ConversionCache.key`).
 CacheKey = Tuple[object, ...]
@@ -63,7 +59,7 @@ def key_links(key: CacheKey) -> "FrozenSet[Link]":
     Links that only appear in the *output* template (accepted fake
     links) are not part of the key; see :func:`cached_links`.
     """
-    _topology, connector_key, strict_key, _rop_aps, links_key = key
+    connector_key, strict_key, _rop_aps, links_key = key
     links = set()
     if connector_key is not None:
         links.update(Link(src, dst) for src, dst, _fake in connector_key)
@@ -85,7 +81,7 @@ def key_semantic_links(key: CacheKey) -> "FrozenSet[Link]":
     flipped such an edge (see
     :meth:`repro.core.converter.ScheduleConverter.revalidate_cache`).
     """
-    _topology, connector_key, strict_key, _rop_aps, _links_key = key
+    connector_key, strict_key, _rop_aps, _links_key = key
     links = set()
     if connector_key is not None:
         links.update(Link(src, dst) for src, dst, _fake in connector_key)
@@ -97,7 +93,7 @@ def key_semantic_links(key: CacheKey) -> "FrozenSet[Link]":
 def key_ap_owner(key: CacheKey) -> Dict[Link, int]:
     """Association link -> owning AP, from the key's per-AP table."""
     owner: Dict[Link, int] = {}
-    for ap, ap_link_pairs in key[4]:
+    for ap, ap_link_pairs in key[3]:
         for src, dst in ap_link_pairs:
             owner[Link(src, dst)] = ap
     return owner
@@ -105,7 +101,7 @@ def key_ap_owner(key: CacheKey) -> Dict[Link, int]:
 
 def key_rop_aps(key: CacheKey) -> "FrozenSet[int]":
     """The ROP AP ids a cache key references."""
-    return frozenset(key[3])
+    return frozenset(key[2])
 
 
 def cached_links(entry: CachedConversion) -> "FrozenSet[Link]":
@@ -117,26 +113,6 @@ def cached_links(entry: CachedConversion) -> "FrozenSet[Link]":
     """
     return frozenset(e.link for slot in entry.batch.slots
                      for e in slot.entries)
-
-
-def conversion_topology_key(rss_matrix: np.ndarray, links: Sequence[Link],
-                            config: "ConverterConfig") -> str:
-    """Content hash of the control-plane state conversion depends on.
-
-    Covers the measured RSS matrix (the interference map and the
-    conflict graph are deterministic functions of it), the link
-    universe (ordering matters: fake candidates are tried in order)
-    and the converter knobs.
-    """
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(rss_matrix).tobytes())
-    for link in links:
-        digest.update(b"%d,%d;" % (link.src, link.dst))
-    digest.update(repr((
-        config.max_inbound, config.max_outbound, config.insert_fakes,
-        config.insert_rop, tuple(sorted(config.fake_exclude_nodes)),
-    )).encode())
-    return digest.hexdigest()
 
 
 def clone_batch(batch: RelativeBatch, delta: int = 0,
@@ -195,12 +171,11 @@ class ConversionCache:
     """Bounded FIFO memo of strict-to-relative conversions.
 
     One instance lives as long as its control plane; after every
-    control-plane change :meth:`refine_topology` moves it to the new
-    topology key.
+    control-plane change :meth:`refine_topology` drops the entries
+    that could diverge.
     """
 
-    def __init__(self, topology_key: str = "", max_entries: int = 256):
-        self.topology_key = topology_key
+    def __init__(self, max_entries: int = 256):
         self.max_entries = max_entries
         self._entries: "OrderedDict[CacheKey, CachedConversion]" = OrderedDict()
         self.hits = 0
@@ -256,35 +231,26 @@ class ConversionCache:
         return len(stale)
 
     def refine_topology(
-            self, topology_key: str,
-            keep: "Callable[[CacheKey, CachedConversion], bool]",
+            self, keep: "Callable[[CacheKey, CachedConversion], bool]",
     ) -> Tuple[int, int]:
-        """Partial rekey: migrate still-valid entries, evict the rest.
+        """Keep the still-valid entries, evict the rest.
 
         After a localized control-plane change (one node's RSS row,
-        one client joining, a measurement campaign) the new topology
-        key would orphan *every* entry even though most conversions
-        are unaffected.  Instead, each entry is offered to ``keep`` —
-        the converter's dirty-region judgement — and survivors are
-        re-filed under the new key with their FIFO order preserved,
-        so untouched chains keep replaying from cache.
+        one client joining, a measurement campaign) most conversions
+        are unaffected.  Each entry is offered to ``keep`` — the
+        converter's dirty-region judgement — and survivors stay in
+        FIFO order, so untouched chains keep replaying from cache.
 
         Returns ``(kept, evicted)``.
         """
-        migrated: "OrderedDict[CacheKey, CachedConversion]" = OrderedDict()
-        kept = evicted = 0
-        for key, entry in self._entries.items():
-            if keep(key, entry):
-                migrated[(topology_key,) + tuple(key[1:])] = entry
-                kept += 1
-            else:
-                evicted += 1
-        self._entries = migrated
-        self.topology_key = topology_key
+        stale = [key for key, entry in self._entries.items()
+                 if not keep(key, entry)]
+        for key in stale:
+            del self._entries[key]
         if self._trace.enabled:
             self._trace.metrics.gauge("converter.cache.entries").set(
                 len(self._entries))
-        return kept, evicted
+        return len(self._entries), len(stale)
 
     def key(self, connector: Optional[RelativeSlot], strict: "StrictSchedule",
             rop_aps: Sequence[int],
@@ -297,8 +263,7 @@ class ConversionCache:
         links_key = () if not ap_links else tuple(sorted(
             (ap, tuple((link.src, link.dst) for link in links))
             for ap, links in ap_links.items()))
-        return (self.topology_key, connector_key, strict_key,
-                tuple(rop_aps), links_key)
+        return (connector_key, strict_key, tuple(rop_aps), links_key)
 
     def get(self, key: CacheKey) -> Optional[CachedConversion]:
         entry = self._entries.get(key)

@@ -102,8 +102,8 @@ class ScheduleConverter:
         self.fake_candidates = list(fake_candidates)
         self.config = config if config is not None else ConverterConfig()
         #: Optional conversion memo (see repro.core.conversion_cache),
-        #: owned by the control plane and moved to each new topology
-        #: key by :meth:`revalidate_cache`.
+        #: owned by the control plane and filtered across each change
+        #: by :meth:`revalidate_cache`.
         self.cache = cache
         self._connector: Optional[RelativeSlot] = None
         self._next_slot_index = 0
@@ -165,18 +165,16 @@ class ScheduleConverter:
             index=connector.index, entries=kept,
             rop_after=list(connector.rop_after)) if kept else None
 
-    def revalidate_cache(self, topology_key: str,
-                         dirty_links: Iterable[Link],
+    def revalidate_cache(self, dirty_links: Iterable[Link],
                          dirty_nodes: Iterable[int],
                          changed_pairs: Iterable[Tuple[Link, Link]] = (),
                          ) -> Tuple[int, int]:
-        """Migrate the conversion cache across a *localized* change.
+        """Filter the conversion cache across a *localized* change.
 
         Must be called after the interference map / conflict graph /
         ``fake_candidates`` already reflect the new control plane.  An
-        entry survives (and is re-filed under ``topology_key``) iff a
-        fresh conversion of its inputs would still reproduce its
-        template byte for byte:
+        entry survives iff a fresh conversion of its inputs would still
+        reproduce its template byte for byte:
 
         * **rule 1** — no dirty link appears among its connector
           entries, strict links or template slots (incl. accepted
@@ -225,7 +223,7 @@ class ScheduleConverter:
         sharing_changed_memo: Dict[object, bool] = {}
 
         def sharing_changed(key: CacheKey) -> bool:
-            links_component = key[4]
+            links_component = key[3]
             cached = sharing_changed_memo.get(links_component)
             if cached is not None:
                 return cached
@@ -262,7 +260,7 @@ class ScheduleConverter:
                     return False
             return True
 
-        return cache.refine_topology(topology_key, keep)
+        return cache.refine_topology(keep)
 
     def _sharing_verdict_flipped(
             self, ap_u: Optional[int], ap_v: Optional[int],

@@ -53,8 +53,16 @@ class Scenario:
         return NetworkState.from_topology(self.topology)
 
 
+def _object(value: Any, what: str) -> Dict[str, Any]:
+    """``value`` if it is a JSON object, else a one-line ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"not {type(value).__name__}")
+    return value
+
+
 def _build_topology(spec: Dict[str, Any]) -> Topology:
-    kind = spec.get("kind")
+    kind = _object(spec, "topology").get("kind")
     if kind == "fig7":
         return fig7_topology(uplinks=bool(spec.get("uplinks", False)))
     if kind == "random_t":
@@ -69,6 +77,7 @@ def _build_topology(spec: Dict[str, Any]) -> Topology:
 
 def _build_config(spec: Dict[str, Any]) -> ServiceConfig:
     config = ServiceConfig()
+    spec = _object(spec, "config")
     for key in ("batch_slots", "demand_cap", "debounce_events"):
         if key in spec:
             setattr(config, key, int(spec[key]))
@@ -81,7 +90,7 @@ def _build_config(spec: Dict[str, Any]) -> ServiceConfig:
 
 def _source_events(spec: Dict[str, Any], topology: Topology,
                    state: NetworkState) -> List[ControllerEvent]:
-    kind = spec.get("kind")
+    kind = _object(spec, "source").get("kind")
     if kind == "churn":
         fields = {k: v for k, v in spec.items() if k != "kind"}
         return list(churn_events(state, ChurnConfig(**fields)))
@@ -101,13 +110,18 @@ def _source_events(spec: Dict[str, Any], topology: Topology,
             start_us=float(spec.get("start_us", 0.0)),
             seed=int(spec.get("seed", 0))))
     if kind == "events":
-        return [event_from_json(raw) for raw in spec["events"]]
+        return [event_from_json(_object(raw, "event"))
+                for raw in spec["events"]]
     raise ValueError(f"unknown event source kind: {kind!r}")
 
 
 def build_scenario(data: Dict[str, Any]) -> Scenario:
-    """Assemble a scenario from already-parsed JSON."""
-    topology = _build_topology(data.get("topology", {}))
+    """Assemble a scenario from already-parsed JSON.
+
+    Raises a one-line ValueError (or KeyError/TypeError on a missing
+    or mistyped field) for malformed input.
+    """
+    topology = _build_topology(_object(data, "scenario").get("topology", {}))
     # Sources see a scratch state so generating events (which tracks
     # ground truth on copies anyway) can never leak into the state the
     # engine is later seeded from.

@@ -32,6 +32,10 @@ from .events import ControllerEvent
 from .incremental import IncrementalController
 from .revision import ScheduleRevision, percentiles_ms
 
+#: How many recent revisions a service keeps (the digest history is
+#: what tests and the CLI want, not every batch ever).
+KEEP_REVISIONS = 1024
+
 
 class OracleMismatch(AssertionError):
     """An incremental revision diverged from the from-scratch digest."""
@@ -78,7 +82,7 @@ class ControllerService:
     """Long-running controller: event stream in, revisions out."""
 
     def __init__(self, engine: IncrementalController,
-                 check_every: int = 0, keep_revisions: int = 1024,
+                 check_every: int = 0,
                  slo: Optional[SloTracker] = None,
                  flight: Optional[FlightRecorder] = None):
         self.engine = engine
@@ -106,10 +110,8 @@ class ControllerService:
         self._oracle_failed = False
         self._last_event_id: Optional[int] = None
         self.latencies_ms: List[float] = []
-        #: Most recent revisions (bounded; the digest history is what
-        #: tests and the CLI want, not every batch ever).
+        #: Most recent revisions, at most ``KEEP_REVISIONS``.
         self.revisions: List[ScheduleRevision] = []
-        self._keep_revisions = keep_revisions
 
     # ------------------------------------------------------------------
     # Epoch processing (shared by both drivers)
@@ -137,7 +139,7 @@ class ControllerService:
         self._ignored += applied.state.ignored_events
         self.latencies_ms.append(latency_ms)
         self.revisions.append(revision)
-        if len(self.revisions) > self._keep_revisions:
+        if len(self.revisions) > KEEP_REVISIONS:
             del self.revisions[0]
 
         # The trace records are written *before* the oracle verdict so

@@ -16,7 +16,7 @@ slow?**
   per-edge waits and per-link/per-step attribution.
 * :func:`summarize_causality` — a small plain-dict rollup (makespan
   percentiles, dominant links) cheap enough to ship across a process
-  boundary, used by sweep workers and the benchmark trend history.
+  boundary, used by sweep workers and the telemetry-overhead bench.
 
 Conservation: along a critical path the edge waits telescope, so the
 attributed waits sum to the batch makespan (terminal time minus chain
@@ -324,7 +324,8 @@ def summarize_causality(trace: Trace) -> Optional[dict]:
 
     Returns ``None`` for traces without causal spans.  Used by sweep
     workers (per-point observability without shipping whole traces)
-    and by the benchmark trend history (``critical_makespan_*``).
+    and by the telemetry-overhead bench, which pins the seeded run's
+    makespan percentiles.
     """
     report = causality_report(trace)
     if not report.has_spans:

@@ -7,8 +7,7 @@ slot.  Every test mirrors a cached converter against an uncached one
 fed the identical call sequence and compares full dataclass equality.
 """
 
-from repro.core.conversion_cache import (ConversionCache, clone_batch,
-                                         conversion_topology_key)
+from repro.core.conversion_cache import ConversionCache, clone_batch
 from repro.core.converter import ConverterConfig, ScheduleConverter
 from repro.sched.strict_schedule import StrictSchedule
 from repro.topology.builder import fig7_topology
@@ -44,7 +43,7 @@ def strict_b():
 
 def paired_converters():
     topology = fig7_topology()
-    cached = make_converter(topology, cache=ConversionCache("topo"))
+    cached = make_converter(topology, cache=ConversionCache())
     fresh = make_converter(topology)
     return cached, fresh
 
@@ -114,13 +113,13 @@ class TestKeysAndInvalidation:
     def test_rekey_invalidates(self):
         cached, _ = paired_converters()
         cached.convert(strict_a())
-        cached.cache.refine_topology("remeasured", keep=lambda *_: False)
+        cached.cache.refine_topology(keep=lambda *_: False)
         cached.convert(strict_a())
         assert cached.cache.hits == 0
         assert cached.cache.misses == 2
 
     def test_key_distinguishes_strict_and_rop_inputs(self):
-        cache = ConversionCache("topo")
+        cache = ConversionCache()
         base = cache.key(None, strict_a(), (), None)
         assert cache.key(None, strict_b(), (), None) != base
         assert cache.key(None, strict_a(), (0,), None) != base
@@ -128,20 +127,8 @@ class TestKeysAndInvalidation:
                          {0: [Link(0, 1)]}) != base
         assert cache.key(None, strict_a(), (), None) == base
 
-    def test_topology_key_tracks_control_plane(self):
-        topology = fig7_topology()
-        imap = topology.interference_map()
-        links = list(topology.flows)
-        config = ConverterConfig()
-        key = conversion_topology_key(imap.rss_dbm, links, config)
-        assert key == conversion_topology_key(imap.rss_dbm, links, config)
-        assert key != conversion_topology_key(imap.rss_dbm, links[:-1],
-                                              config)
-        assert key != conversion_topology_key(
-            imap.rss_dbm, links, ConverterConfig(insert_fakes=False))
-
     def test_fifo_bound(self):
-        cache = ConversionCache("topo", max_entries=2)
+        cache = ConversionCache(max_entries=2)
         converter = make_converter(fig7_topology(), cache=cache)
         converter.convert(strict_a())
         converter.convert(strict_b())
@@ -219,7 +206,7 @@ class TestLinkInvalidation:
         return strict
 
     def test_invalidating_link_spares_disjoint_chains(self):
-        cache = ConversionCache("topo")
+        cache = ConversionCache()
         converter = self._bare_converter(cache)
         converter.convert(self._chain_a())
         converter.reset_connector()
@@ -244,7 +231,7 @@ class TestLinkInvalidation:
         """A link absent from the key but accepted into the template
         as a fake must still evict the entry — a replay would re-emit
         it."""
-        cache = ConversionCache("topo")
+        cache = ConversionCache()
         converter = make_converter(fig7_topology(), cache=cache)
         batch = converter.convert(strict_a())
         fake_links = {e.link for slot in batch.slots
@@ -257,7 +244,7 @@ class TestLinkInvalidation:
         assert len(cache) == 0
 
     def test_invalidate_unknown_link_is_noop(self):
-        cache = ConversionCache("topo")
+        cache = ConversionCache()
         converter = self._bare_converter(cache)
         converter.convert(self._chain_a())
         assert cache.invalidate_link(Link(6, 7)) == 0
@@ -268,12 +255,12 @@ class TestRejectAttribution:
     """Revalidation rejections name the soundness rule that fired."""
 
     def test_counts_start_zeroed(self):
-        cache = ConversionCache("topo")
+        cache = ConversionCache()
         assert cache.reject_counts == {
             "rule1": 0, "rule2": 0, "rule3": 0, "rule4": 0}
 
     def test_count_reject_accumulates(self):
-        cache = ConversionCache("topo")
+        cache = ConversionCache()
         cache.count_reject("rule1")
         cache.count_reject("rule1")
         cache.count_reject("rule4")
@@ -282,21 +269,21 @@ class TestRejectAttribution:
         assert cache.reject_counts["rule2"] == 0
 
     def test_dirty_semantic_link_attributes_rule1(self):
-        cache = ConversionCache("topo")
+        cache = ConversionCache()
         converter = make_converter(fig7_topology(), cache=cache)
         converter.convert(strict_a())
         dirty = next(Link(l.src, l.dst) for slot in strict_a()
                      for l in slot)
         kept, evicted = converter.revalidate_cache(
-            "topo2", [dirty], [dirty.src])
+            [dirty], [dirty.src])
         assert evicted == 1 and kept == 0
         assert cache.reject_counts["rule1"] == 1
         assert cache.reject_counts["rule3"] == 0
 
     def test_clean_migration_rejects_nothing(self):
-        cache = ConversionCache("topo")
+        cache = ConversionCache()
         converter = make_converter(fig7_topology(), cache=cache)
         converter.convert(strict_a())
-        kept, evicted = converter.revalidate_cache("topo2", [], [])
+        kept, evicted = converter.revalidate_cache([], [])
         assert kept == 1 and evicted == 0
         assert sum(cache.reject_counts.values()) == 0

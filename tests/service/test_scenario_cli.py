@@ -135,7 +135,15 @@ class TestCli:
     def test_missing_scenario_exits_2(self, capsys):
         assert main(["--scenario", "/nonexistent/nope.json"]) == 2
 
-    def test_invalid_scenario_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scenario", [
+        {"topology": {"kind": "moebius"}},
+        [1],
+        {"topology": []},
+        {"topology": {"kind": "fig7"}, "sources": [1]},
+    ], ids=["unknown-kind", "list", "topology-list", "source-int"])
+    def test_invalid_scenario_exits_2(self, tmp_path, capsys, scenario):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"topology": {"kind": "moebius"}}))
+        path.write_text(json.dumps(scenario))
         assert main(["--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
