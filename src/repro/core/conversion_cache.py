@@ -43,31 +43,12 @@ from ..topology.links import Link
 from .relative_schedule import RelativeBatch, RelativeSlot, TriggerDuty
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from typing import Callable, FrozenSet, Iterable
+    from typing import Callable, FrozenSet
 
     from ..sched.strict_schedule import StrictSchedule
 
 #: Opaque-but-hashable composite cache key (see :meth:`ConversionCache.key`).
 CacheKey = Tuple[object, ...]
-
-
-def key_links(key: CacheKey) -> "FrozenSet[Link]":
-    """Every link a cache key references.
-
-    Covers the connector entries, the strict schedule and the per-AP
-    association links — the named inputs of the memoized conversion.
-    Links that only appear in the *output* template (accepted fake
-    links) are not part of the key; see :func:`cached_links`.
-    """
-    connector_key, strict_key, _rop_aps, links_key = key
-    links = set()
-    if connector_key is not None:
-        links.update(Link(src, dst) for src, dst, _fake in connector_key)
-    for slot in strict_key:
-        links.update(Link(src, dst) for src, dst in slot)
-    for _ap, ap_link_pairs in links_key:
-        links.update(Link(src, dst) for src, dst in ap_link_pairs)
-    return frozenset(links)
 
 
 def key_semantic_links(key: CacheKey) -> "FrozenSet[Link]":
@@ -109,7 +90,7 @@ def cached_links(entry: CachedConversion) -> "FrozenSet[Link]":
 
     A superset of the key's strict links: fake links the conversion
     *accepted* live only in the output batch, and a replay re-emits
-    them — so invalidation must look here too, not just at the key.
+    them — so revalidation must look here too, not just at the key.
     """
     return frozenset(e.link for slot in entry.batch.slots
                      for e in slot.entries)
@@ -203,32 +184,6 @@ class ConversionCache:
         if self._trace.enabled:
             self._trace.metrics.counter(
                 "converter.cache.reject." + rule).inc()
-
-    def invalidate_link(self, link: Link) -> int:
-        """Evict every entry that involves ``link``; keep the rest.
-
-        "Involves" covers both the key (connector, strict schedule,
-        ROP association links) and the stored template (a fake link
-        accepted into the output would be re-emitted by a replay).
-        Entries over disjoint chains are untouched — the regression
-        tests pin that invalidating link *i* never costs unrelated
-        conversions their hits.  Returns the number evicted.
-        """
-        return self.invalidate_links((link,))
-
-    def invalidate_links(self, links: "Iterable[Link]") -> int:
-        dirty = frozenset(links)
-        if not dirty:
-            return 0
-        stale = [key for key, entry in self._entries.items()
-                 if not dirty.isdisjoint(key_links(key))
-                 or not dirty.isdisjoint(cached_links(entry))]
-        for key in stale:
-            del self._entries[key]
-        if stale and self._trace.enabled:
-            self._trace.metrics.gauge("converter.cache.entries").set(
-                len(self._entries))
-        return len(stale)
 
     def refine_topology(
             self, keep: "Callable[[CacheKey, CachedConversion], bool]",

@@ -55,9 +55,6 @@ class RelativeSlot:
             nodes.add(entry.link.dst)
         return nodes
 
-    def real_entries(self) -> List[SlotEntry]:
-        return [e for e in self.entries if not e.fake]
-
 
 @dataclass(frozen=True)
 class TriggerDuty:
@@ -129,18 +126,6 @@ class RelativeBatch:
             if slot.index == index:
                 return slot
         return None
-
-    def duties_of(self, node: int) -> List[TriggerDuty]:
-        return [d for (n, _), d in self.duties.items() if n == node]
-
-    def entries_of_sender(self, node: int) -> List[Tuple[int, SlotEntry]]:
-        """(slot_index, entry) pairs where ``node`` is the sender."""
-        out = []
-        for slot in self.slots:
-            for entry in slot.entries:
-                if entry.link.src == node:
-                    out.append((slot.index, entry))
-        return out
 
     def validate(self) -> None:
         """Internal consistency checks; raises ``ValueError``."""

@@ -13,7 +13,6 @@ Definitions follow the paper:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -129,21 +128,3 @@ class FlowRecorder:
         """
         means = [r.mean_delay_us for r in self.records.values() if r.packets]
         return sum(means) / len(means) if means else 0.0
-
-    def overall_mean_delay_us(self) -> float:
-        """Packet-weighted mean delay across all flows."""
-        packets = sum(r.packets for r in self.records.values())
-        total = sum(r.total_delay_us for r in self.records.values())
-        return total / packets if packets else 0.0
-
-    def delay_percentile_us(self, pct: float) -> float:
-        delays = sorted(
-            d for r in self.records.values() for d in r.delays_us
-        )
-        if not delays:
-            return 0.0
-        idx = min(len(delays) - 1, int(math.ceil(pct / 100.0 * len(delays))) - 1)
-        return delays[max(idx, 0)]
-
-    def total_packets(self) -> int:
-        return sum(r.packets for r in self.records.values())

@@ -110,14 +110,3 @@ class RandScheduler:
                 if remaining[link] <= 0:
                     del remaining[link]
         return schedule
-
-    def unsatisfied_after(self, demands: Dict[Link, int],
-                          schedule: StrictSchedule) -> Dict[Link, int]:
-        """Demands left over after ``schedule`` runs (for re-scheduling)."""
-        served = schedule.service_counts()
-        leftover = {}
-        for link, want in demands.items():
-            rest = want - served.get(link, 0)
-            if rest > 0:
-                leftover[link] = rest
-        return leftover

@@ -24,6 +24,7 @@ stored under ``examples/`` and replayed from the CLI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Union
 
@@ -92,6 +93,8 @@ ControllerEvent = Union[Associate, Disassociate, RssDelta, QueueUpdate]
 
 _KINDS = {cls.KIND: cls for cls in (Associate, Disassociate, RssDelta,
                                     QueueUpdate)}
+_ID_FIELDS = ("node", "client", "ap", "src", "dst")
+_NUMBER_FIELDS = ("t_us", "backlog")
 
 
 def _rss_out(mapping: Mapping[int, float]) -> Dict[str, float]:
@@ -101,6 +104,9 @@ def _rss_out(mapping: Mapping[int, float]) -> Dict[str, float]:
 
 
 def _rss_in(mapping: Mapping[str, float]) -> Dict[int, float]:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"RSS entries must be a JSON object, "
+                         f"not {type(mapping).__name__}")
     return {int(node): float(value) for node, value in mapping.items()}
 
 
@@ -123,11 +129,23 @@ def event_to_json(event: ControllerEvent) -> Dict[str, object]:
 
 
 def event_from_json(record: Mapping[str, object]) -> ControllerEvent:
-    """Parse one scenario record; unknown kinds fail loudly."""
+    """Parse one scenario record; unknown kinds and wrongly typed
+    scalars fail loudly with a one-line ValueError."""
     data = dict(record)
     kind = data.pop("kind", None)
     if kind not in _KINDS:
         raise ValueError(f"unknown controller event kind: {kind!r}")
+    for name, value in data.items():
+        if name in _ID_FIELDS:
+            types, expected = (int,), "an integer"
+        elif name in _NUMBER_FIELDS:
+            types, expected = (int, float), "a finite number"
+        else:
+            continue
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or not math.isfinite(value)):
+            raise ValueError(f"{kind} event: {name} must be {expected}, "
+                             f"not {value!r}")
     if kind in ("associate", "rss_delta"):
         data["rss_to"] = _rss_in(data.get("rss_to", {}))  # type: ignore[arg-type]
         data["rss_from"] = _rss_in(data.get("rss_from", {}))  # type: ignore[arg-type]

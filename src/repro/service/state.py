@@ -152,6 +152,8 @@ class NetworkState:
                 self.rss[other, node] = float(value)
 
     def _apply_rss(self, event: RssDelta) -> StateDelta:
+        if not 0 <= event.node < self.n_nodes:
+            return StateDelta(ignored_events=1)
         if not event.rss_to and not event.rss_from:
             return StateDelta(ignored_events=1)
         self._write_rss(event.node, event.rss_to, event.rss_from)

@@ -248,20 +248,5 @@ class Simulator:
         maintained by ``schedule``/``cancel`` instead of scanned."""
         return self._live[0]
 
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` if idle.
-
-        Cancelled events sitting at the top of the heap are popped
-        here (they already fired their lazy deletion), so repeated
-        queries stay amortised O(log n) instead of sorting the heap.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if not entry[2].cancelled:
-                return entry[0]
-            heapq.heappop(heap)
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.3f}us, pending={self.pending})"

@@ -28,11 +28,6 @@ DEFAULT_STD_US = 22.0
 @dataclass
 class WireStats:
     messages: int = 0
-    total_latency_us: float = 0.0
-
-    @property
-    def mean_latency_us(self) -> float:
-        return self.total_latency_us / self.messages if self.messages else 0.0
 
 
 class WiredBackbone:
@@ -84,16 +79,5 @@ class WiredBackbone:
             raise KeyError(f"no wired endpoint {dst_id}")
         latency = self.latency_sample_us()
         self.stats.messages += 1
-        self.stats.total_latency_us += latency
         self.sim.schedule(latency, self._ports[dst_id], src_id, message)
         return latency
-
-    def broadcast_from_server(self, message_for: Dict[int, Any]) -> None:
-        """Send a per-AP message to many APs, one jittered unicast each.
-
-        This is how the controller distributes schedules: each AP gets
-        its own copy at its own jittered arrival time, which is what
-        desynchronizes the first slot of a batch (Fig. 11).
-        """
-        for ap_id, message in message_for.items():
-            self.send(self.SERVER_ID, ap_id, message)

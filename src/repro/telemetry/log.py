@@ -43,8 +43,3 @@ def get_logger(name: str = "") -> logging.Logger:
     if not name:
         return root
     return root.getChild(name)
-
-
-def set_level(level: int) -> None:
-    """Set the verbosity of all ``repro`` loggers at once."""
-    _root_logger().setLevel(level)

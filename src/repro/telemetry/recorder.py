@@ -48,12 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - the recorder only duck-types
 _NULL_METRICS_WARNED = False
 
 
-def reset_null_metrics_warning() -> None:
-    """Re-arm the one-shot null-metrics warning (test helper)."""
-    global _NULL_METRICS_WARNED
-    _NULL_METRICS_WARNED = False
-
-
 class _NullMetricsRegistry(MetricsRegistry):
     """The registry behind :class:`NullRecorder`: records into the void.
 

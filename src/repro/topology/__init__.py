@@ -16,7 +16,7 @@ from .conflict_graph import (build_conflict_graph, greedy_maximal_extension,
 from .links import Link
 from .measurement import (ObservationStore, beacon_rounds,
                           campaign_overhead_fraction, validate_rounds)
-from .mobility import move_node, place_near
+from .mobility import move_node
 from .placement import (Building, TwoBuildingLayout, grid_placement,
                         random_placement, two_building_placement)
 from .propagation import NS3_DEFAULT, LogDistanceModel, matrix_rss_fn
@@ -31,7 +31,7 @@ __all__ = [
     "campaign_overhead_fraction", "fig13a_topology", "fig13b_topology",
     "fig1_topology", "fig7_topology", "greedy_maximal_extension",
     "grid_placement", "hearing_graph", "InterferenceMap", "is_independent_set",
-    "manual_trace", "matrix_rss_fn", "move_node", "place_near",
+    "manual_trace", "matrix_rss_fn", "move_node",
     "random_placement", "random_t_topology", "two_building_placement",
     "two_building_trace", "two_hop_graph", "usrp_pair_topology",
     "validate_rounds",

@@ -68,9 +68,6 @@ class Topology:
         self.network.attach_all(medium)
         return medium
 
-    def flow_links(self) -> List[Link]:
-        return list(self.flows)
-
     def all_association_links(self) -> List[Link]:
         """Both directions of every AP-client association.
 

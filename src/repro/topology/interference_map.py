@@ -5,27 +5,30 @@ node pairs and derives from it which links may transmit concurrently.
 This module wraps an RSS source (trace matrix or propagation model)
 and answers the questions the scheduler, converter and analysis need:
 
-* can two links be active in the same slot (``conflicts``)?
 * does a whole slot survive additive interference, grown one link at
   a time (``slot`` / ``SlotSurvival``, and ``set_survives`` on top)?
+* can two links be active in the same slot (``conflicts``, which is
+  exactly the two-link slot)?
 * can a node's signature trigger another node (``can_trigger``)?
 * which link pairs are *hidden* or *exposed* — the counts reported in
   Sec. 4.2.3 ("10 hidden link pairs and 62 exposed link pairs out of
   720 possible link pairs").
 
 Conflict definition: two links conflict when they share a node, or
-when the sender (or the ACK-sending receiver) of one link lowers the
-other link's data SINR below the decode threshold plus a safety
-margin.  This mirrors the conflict-graph construction of the
-measurement-based interference literature the paper cites.
+when the sender of one link lowers the other's data SINR (or the
+ACK-sending receiver of one lowers the other's ACK SINR) below the
+decode threshold plus a safety margin.  This mirrors the
+conflict-graph construction of the measurement-based interference
+literature the paper cites.  The pairwise conflict is the two-link
+slot, so the conflict graph and the RAND slots read one SINR fold,
+``SlotSurvival.try_add``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..sim.phy import (SIGNATURE_CORRELATION_GAIN_DB, PhyProfile, dbm_to_mw,
                        mw_to_dbm)
@@ -56,66 +59,28 @@ class InterferenceMap:
     _trigger_cache: Dict[Tuple[int, int], bool] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # Basic link quantities
+    # Carrier sense and conflicts
     # ------------------------------------------------------------------
-    def link_rss_dbm(self, link: Link) -> float:
-        return self.rss_dbm(link.src, link.dst)
-
-    def link_snr_db(self, link: Link) -> float:
-        return self.link_rss_dbm(link) - self.profile.noise_dbm
-
-    def link_viable(self, link: Link) -> bool:
-        """Can the link carry data at the profile's data rate in isolation?"""
-        threshold = self.profile.sinr_threshold_db(self.profile.data_rate_mbps)
-        return (self.link_rss_dbm(link) >= self.profile.sensitivity_dbm
-                and self.link_snr_db(link) >= threshold + self.margin_db)
-
     def in_cs_range(self, a: int, b: int) -> bool:
         """Do ``a`` and ``b`` carrier-sense each other's transmissions?"""
         return (self.rss_dbm(a, b) >= self.profile.cs_threshold_dbm
                 or self.rss_dbm(b, a) >= self.profile.cs_threshold_dbm)
 
-    # ------------------------------------------------------------------
-    # Conflicts
-    # ------------------------------------------------------------------
-    def _sinr_survives(self, signal_from: int, at: int,
-                       interferers: Iterable[int],
-                       rate_mbps: Optional[float] = None) -> bool:
-        """Does a reception at ``at`` from ``signal_from`` survive?"""
-        signal_mw = dbm_to_mw(self.rss_dbm(signal_from, at))
-        interference_mw = self.profile.noise_mw()
-        for node in interferers:
-            interference_mw += dbm_to_mw(self.rss_dbm(node, at))
-        sinr_db = mw_to_dbm(signal_mw) - mw_to_dbm(interference_mw)
-        rate = rate_mbps if rate_mbps is not None \
-            else self.profile.data_rate_mbps
-        threshold = self.profile.sinr_threshold_db(rate)
-        return sinr_db >= threshold + self.margin_db
-
     def conflicts(self, l1: Link, l2: Link) -> bool:
         """May ``l1`` and ``l2`` NOT share a slot?
 
-        In slot-aligned operation the two links' *data* transmissions
-        overlap and, later in the slot, their *ACKs* overlap — data
-        never overlaps a foreign ACK.  So the test is: each link's
-        data reception must survive the other's data sender, and each
-        link's ACK reception (receiver back to sender, at the basic
-        rate) must survive the other's ACK sender.
+        The pairwise conflict is the two-link slot.  In slot-aligned
+        operation the two links' *data* transmissions overlap and,
+        later in the slot, their *ACKs* overlap — data never overlaps
+        a foreign ACK.  So each link's data reception must survive the
+        other's data sender, and each link's ACK reception (receiver
+        back to sender, at the basic rate) must survive the other's
+        ACK sender; links sharing a node never share a slot.  The
+        slot also tests ``l1`` alone first, which flips no verdict:
+        ``l2`` only adds a non-negative interference term.
         """
-        if l1.shares_node(l2):
-            return True
-        basic = self.profile.basic_rate_mbps
-        # Data vs. data.
-        if not self._sinr_survives(l1.src, l1.dst, [l2.src]):
-            return True
-        if not self._sinr_survives(l2.src, l2.dst, [l1.src]):
-            return True
-        # ACK vs. ACK (receivers transmit, senders listen).
-        if not self._sinr_survives(l1.dst, l1.src, [l2.dst], basic):
-            return True
-        if not self._sinr_survives(l2.dst, l2.src, [l1.dst], basic):
-            return True
-        return False
+        slot = self.slot()
+        return not (slot.try_add(l1) and slot.try_add(l2))
 
     def slot(self) -> "SlotSurvival":
         """An empty slot to grow under the additive check."""
@@ -174,14 +139,6 @@ class InterferenceMap:
         for key in stale:
             del self._trigger_cache[key]
 
-    def link_can_trigger(self, link: Link, target: int) -> bool:
-        return (self.node_can_trigger(link.src, target)
-                or self.node_can_trigger(link.dst, target))
-
-    def trigger_rss_dbm(self, link: Link, target: int) -> float:
-        """Best signature RSS at ``target`` from either endpoint of ``link``."""
-        return max(self.rss_dbm(link.src, target), self.rss_dbm(link.dst, target))
-
     # ------------------------------------------------------------------
     # Hidden / exposed census (Sec. 4.2.3)
     # ------------------------------------------------------------------
@@ -220,12 +177,13 @@ class SlotSurvival:
     data receiver (the other links' senders) and at its ACK receiver
     (the other links' receivers, heard by this link's sender at the
     basic rate).  Each sum starts from the noise floor and adds the
-    other links in acceptance order, which is term for term the fold
-    :meth:`InterferenceMap._sinr_survives` runs over the slot's list,
-    so every verdict equals ``set_survives([*links, cand])``.  Testing
-    a candidate against ``k`` accepted links reads ``4k`` RSS terms
-    instead of re-folding ``2(k+1)^2``.  RSS is read live; nothing is
-    kept beyond the slot's own sums.
+    other links in acceptance order, which is term for term the
+    whole-slot fold over the slot's list, so every verdict equals
+    ``set_survives([*links, cand])``.  Testing a candidate against
+    ``k`` accepted links reads ``4k`` RSS terms instead of re-folding
+    ``2(k+1)^2``.  RSS is read live; nothing is kept beyond the slot's
+    own sums.  This is the map's only SINR fold: the pairwise
+    ``conflicts`` is a two-link slot.
     """
 
     __slots__ = ("links", "_rss", "_nodes", "_noise_mw", "_data_min_db",

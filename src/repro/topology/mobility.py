@@ -80,15 +80,3 @@ def linear_drift(trace: SyntheticTrace, node_id: int, to_pos: Position,
                   tx_power_dbm=tx_power_dbm, wall_counter=wall_counter,
                   seed=seed ^ step)
         yield step, pos
-
-
-def place_near(trace: SyntheticTrace, node_id: int, target_id: int,
-               distance_m: float,
-               model: Optional[LogDistanceModel] = None,
-               tx_power_dbm: float = 15.0, seed: int = 0) -> Position:
-    """Move ``node_id`` to ``distance_m`` from ``target_id`` (due east)."""
-    tx, ty = trace.positions[target_id]
-    new_pos = (tx + distance_m, ty)
-    move_node(trace, node_id, new_pos, model=model,
-              tx_power_dbm=tx_power_dbm, seed=seed)
-    return new_pos

@@ -155,10 +155,6 @@ class VirtualPacketizer:
         flush()
         return out
 
-    def virtual_packet_count(self, payload_bytes: int) -> int:
-        """Virtual packets one application packet will consume."""
-        return max(1, math.ceil(payload_bytes / self.slot_payload_bytes))
-
 
 @dataclass
 class ReassembledPacket:
@@ -180,7 +176,6 @@ class Reassembler:
 
     def __init__(self) -> None:
         self._partial: Dict[int, Dict[int, Frame]] = {}
-        self.incomplete_dropped = 0
 
     def accept(self, frame: Frame, now: float) -> List[ReassembledPacket]:
         if frame.kind is not FrameKind.DATA:
@@ -213,15 +208,3 @@ class Reassembler:
             payload_bytes=frame.payload_bytes,
             enqueued_at=frame.enqueued_at, completed_at=now,
         )]
-
-    def pending_bundles(self) -> int:
-        return len(self._partial)
-
-    def drop_stale(self, older_than_bundle_count: int = 1000) -> None:
-        """Bound memory under pathological loss: forget old bundles."""
-        if len(self._partial) <= older_than_bundle_count:
-            return
-        stale = sorted(self._partial)[:-older_than_bundle_count]
-        for bundle in stale:
-            del self._partial[bundle]
-            self.incomplete_dropped += 1

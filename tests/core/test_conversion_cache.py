@@ -169,13 +169,14 @@ class TestCloneBatch:
 
 
 class TestLinkInvalidation:
-    """ISSUE 6 satellite: per-link eviction must be surgical.
+    """Per-link eviction must be surgical.
 
-    Invalidating link *i* evicts exactly the entries that involve it —
-    entries over disjoint chains keep their hits.  ``insert_fakes`` /
-    ``insert_rop`` are off so each entry's footprint is exactly its
-    strict chain (fakes would pull the whole universe into every
-    template and make "disjoint" impossible on one topology).
+    Revalidating across a dirty link *i* evicts exactly the entries
+    that involve it — entries over disjoint chains keep their hits.
+    ``insert_fakes`` / ``insert_rop`` are off so each entry's footprint
+    is exactly its strict chain (fakes would pull the whole universe
+    into every template and make "disjoint" impossible on one
+    topology).
     """
 
     @staticmethod
@@ -214,8 +215,7 @@ class TestLinkInvalidation:
         converter.reset_connector()
         assert len(cache) == 2
 
-        evicted = cache.invalidate_link(Link(0, 1))
-        assert evicted == 1
+        assert converter.revalidate_cache([Link(0, 1)], []) == (1, 1)
         assert len(cache) == 1
 
         # The disjoint chain still replays from cache...
@@ -240,14 +240,16 @@ class TestLinkInvalidation:
                     for l in slot}
         pure_fakes = fake_links - key_only
         assert pure_fakes, "fig7 strict_a leaves room for fakes"
-        assert cache.invalidate_link(next(iter(sorted(pure_fakes)))) == 1
+        dirty = next(iter(sorted(pure_fakes)))
+        assert converter.revalidate_cache([dirty], []) == (0, 1)
+        assert cache.reject_counts["rule1"] == 1
         assert len(cache) == 0
 
     def test_invalidate_unknown_link_is_noop(self):
         cache = ConversionCache()
         converter = self._bare_converter(cache)
         converter.convert(self._chain_a())
-        assert cache.invalidate_link(Link(6, 7)) == 0
+        assert converter.revalidate_cache([Link(6, 7)], []) == (1, 0)
         assert len(cache) == 1
 
 

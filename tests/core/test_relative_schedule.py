@@ -34,7 +34,6 @@ def test_slot_helpers():
     slot0 = batch.slots[0]
     assert slot0.senders() == {0, 4}
     assert slot0.participants() == {0, 1, 4, 5}
-    assert [e.link for e in slot0.real_entries()] == [Link(0, 1)]
     assert batch.slot_by_index(1) is batch.slots[1]
     assert batch.slot_by_index(9) is None
 
@@ -88,15 +87,3 @@ def test_build_programs_self_trigger_detection():
     batch.inbound[(1, Link(2, 3))] = [2]
     programs = build_programs(batch)
     assert 1 in programs[2].self_trigger_slots
-
-
-def test_entries_of_sender():
-    batch = make_batch()
-    assert batch.entries_of_sender(0) == [(0, batch.slots[0].entries[0])]
-    assert batch.entries_of_sender(9) == []
-
-
-def test_duties_of():
-    batch = make_batch()
-    assert len(batch.duties_of(1)) == 1
-    assert batch.duties_of(5) == []

@@ -67,24 +67,12 @@ def test_set_survives_rejects_shared_nodes():
     assert not imap.set_survives([Link(0, 1), Link(1, 2)])
 
 
-def test_link_viability():
-    imap = make_imap({(0, 1): -50.0, (2, 3): -86.0})
-    assert imap.link_viable(Link(0, 1))
-    assert not imap.link_viable(Link(2, 3))  # below 12 Mbps + margin
-
-
 def test_trigger_reachability_uses_correlation_gain():
     imap = make_imap({(0, 1): -50.0, (0, 2): -95.0})
     # -95 dBm is hopeless for data but the correlator's ~21 dB of
     # processing gain keeps the signature detectable.
     assert imap.node_can_trigger(0, 2)
     assert not imap.node_can_trigger(0, 5)  # default -120: silence
-
-
-def test_link_can_trigger_via_either_endpoint():
-    imap = make_imap({(0, 1): -50.0, (1, 2): -80.0})
-    assert imap.link_can_trigger(Link(0, 1), 2)   # via receiver 1
-    assert imap.trigger_rss_dbm(Link(0, 1), 2) == -80.0
 
 
 def test_census_on_fig1():

@@ -94,17 +94,6 @@ def test_unknown_link_rejected():
         RandScheduler(graph, links + [Link(99, 98)])
 
 
-def test_unsatisfied_after():
-    links, graph = chain_graph(2)
-    scheduler = RandScheduler(graph, links)
-    demands = {links[0]: 3, links[1]: 1}
-    schedule = scheduler.schedule_batch(demands, max_slots=2)
-    leftover = scheduler.unsatisfied_after(demands, schedule)
-    served = schedule.service_counts()
-    for link, want in demands.items():
-        assert leftover.get(link, 0) == max(0, want - served.get(link, 0))
-
-
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=1, max_value=8),
        st.dictionaries(st.integers(min_value=0, max_value=7),
@@ -118,4 +107,4 @@ def test_property_service_never_exceeds_demand(n_links, raw_demands):
     for link, count in served.items():
         assert count <= demands.get(link, 0)
     # Everything is eventually served within the generous slot budget.
-    assert scheduler.unsatisfied_after(demands, schedule) == {}
+    assert served == demands

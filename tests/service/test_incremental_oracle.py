@@ -145,6 +145,22 @@ class TestMembershipEdgeCases:
         assert stats.ignored_events == 1
         assert engine.state.clients[1] == 0  # untouched
 
+    def test_rss_delta_for_unknown_node_ignored(self):
+        """A node outside ``[0, n_nodes)`` names no row: -1 must not
+        reach the last node's row through negative indexing, and 99
+        must not raise out of the service."""
+        engine, service = self.service_for(fig7_topology())
+        before = engine.state.rss.copy()
+        stats = service.run_events([
+            RssDelta(t_us=0.0, node=-1, rss_to={0: -30.0},
+                     rss_from={0: -30.0}),
+            RssDelta(t_us=10.0, node=99, rss_to={0: -30.0},
+                     rss_from={0: -30.0}),
+        ])
+        assert stats.ignored_events == 2
+        assert (engine.state.rss == before).all()
+        assert_graph_fresh(engine)
+
 
 class TestRevisionBookkeeping:
     def test_queue_backlog_drains_across_revisions(self):

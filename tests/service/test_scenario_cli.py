@@ -140,7 +140,25 @@ class TestCli:
         [1],
         {"topology": []},
         {"topology": {"kind": "fig7"}, "sources": [1]},
-    ], ids=["unknown-kind", "list", "topology-list", "source-int"])
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "events", "events": [
+                {"kind": "rss_delta", "t_us": 0.0, "node": "x",
+                 "rss_to": {"0": -50.0}}]}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "events", "events": [
+                {"kind": "queue_update", "t_us": 0.0, "src": 0, "dst": 1,
+                 "backlog": "lots"}]}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "events", "events": [
+                {"kind": "rss_delta", "t_us": 0.0, "node": 1,
+                 "rss_to": [-50.0]}]}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "events", "events": [
+                {"kind": "queue_update", "t_us": 0.0, "src": 0, "dst": 1,
+                 "backlog": float("inf")}]}]},
+    ], ids=["unknown-kind", "list", "topology-list", "source-int",
+            "event-node-str", "event-backlog-str", "event-rss-list",
+            "event-backlog-inf"])
     def test_invalid_scenario_exits_2(self, tmp_path, capsys, scenario):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))

@@ -114,13 +114,12 @@ def test_run_not_reentrant():
     assert len(errors) == 1
 
 
-def test_pending_and_next_event_time_skip_cancelled():
+def test_pending_skips_cancelled():
     sim = Simulator()
     keep = sim.schedule(7.0, lambda: None)
     drop = sim.schedule(3.0, lambda: None)
     drop.cancel()
     assert sim.pending == 1
-    assert sim.next_event_time() == 7.0
     assert keep.time == 7.0
 
 
@@ -143,20 +142,6 @@ def test_pending_counts_events_cancelled_from_callbacks():
     sim.schedule(1.0, victim.cancel)
     sim.step()
     assert sim.pending == 0
-    assert sim.next_event_time() is None
-
-
-def test_next_event_time_discards_cancelled_heads():
-    sim = Simulator()
-    for t in (1.0, 2.0, 3.0):
-        sim.schedule(t, lambda: None).cancel()
-    keep = sim.schedule(4.0, lambda: None)
-    assert sim.next_event_time() == 4.0
-    assert sim.pending == 1
-    # The lazy pop must not lose the surviving event.
-    sim.run(until=10.0)
-    assert sim.events_processed == 1
-    assert keep.cancelled is False
 
 
 def test_rng_determinism():

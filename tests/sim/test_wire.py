@@ -63,20 +63,8 @@ def test_duplicate_registration_rejected():
         wire.register(0, lambda src, msg: None)
 
 
-def test_broadcast_from_server_delivers_per_ap_payloads():
-    sim = Simulator(seed=1)
-    wire = WiredBackbone(sim, seed=5)
-    got = {}
-    for ap in (10, 11, 12):
-        wire.register(ap, lambda src, msg, ap=ap: got.setdefault(ap, msg))
-    wire.broadcast_from_server({10: "a", 11: "b", 12: "c"})
-    sim.run(until=10_000.0)
-    assert got == {10: "a", 11: "b", 12: "c"}
-
-
 def test_stats_accumulate():
     sim, wire, _ = _wired_pair()
     for _ in range(10):
         wire.send(-1, 0, None)
     assert wire.stats.messages == 10
-    assert wire.stats.mean_latency_us > 0

@@ -255,7 +255,7 @@ class TestNullMetricsWarning:
     exactly one time per process."""
 
     @pytest.fixture()
-    def captured(self):
+    def captured(self, monkeypatch):
         from repro.telemetry import recorder as recorder_mod
         from repro.telemetry.log import get_logger
 
@@ -268,13 +268,11 @@ class TestNullMetricsWarning:
         handler = Capture()
         logger = get_logger("telemetry")
         logger.addHandler(handler)
-        previous = recorder_mod._NULL_METRICS_WARNED
-        recorder_mod.reset_null_metrics_warning()
+        monkeypatch.setattr(recorder_mod, "_NULL_METRICS_WARNED", False)
         try:
             yield records
         finally:
             logger.removeHandler(handler)
-            recorder_mod._NULL_METRICS_WARNED = previous
 
     def test_warns_once_and_still_counts_into_the_void(self, captured):
         recorder = NullRecorder()

@@ -2,11 +2,12 @@
 
 ``SlotSurvival.try_add`` keeps two running interference sums per
 accepted link instead of re-folding the whole slot for every
-candidate.  These properties pin it, ``set_survives`` and the
-slot-extension primitive built on it to a reference written out here:
-the whole-slot fold over ``[*accepted, cand]`` (every reception faces
-every other link, noise first, list order), with the scheduler's and
-converter's accept loops written out candidate by candidate.  RSS
+candidate.  These properties pin it, ``set_survives``, the pairwise
+``conflicts`` and the slot-extension primitive built on it to a
+reference written out here: the whole-slot fold over
+``[*accepted, cand]`` (every reception faces every other link, noise
+first, list order), with the scheduler's and converter's accept loops
+written out candidate by candidate.  RSS
 matrices mix unreachable pairs (-inf dBm, 0 mW), values on the
 decode threshold and arbitrary levels, so verdicts sit on the boundary
 where a reordered or dropped term would flip them.
@@ -158,6 +159,21 @@ def test_set_survives_matches_whole_slot_fold(world, data):
     imap, links = world
     subset = data.draw(st.lists(st.sampled_from(links), max_size=5))
     assert imap.set_survives(subset) is ref_set_survives(imap, subset)
+
+
+@settings(deadline=None, max_examples=150)
+@given(worlds(), st.data())
+def test_conflicts_matches_two_link_fold(world, data):
+    """The pairwise conflict is the two-link slot: shared-node pairs
+    (including a link with itself or its reverse) and pairs broken by
+    either data or ACK reception alike."""
+    imap, links = world
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(links),
+                                         st.sampled_from(links)),
+                               min_size=1, max_size=8))
+    for l1, l2 in pairs:
+        assert imap.conflicts(l1, l2) is (
+            not ref_set_survives(imap, [l1, l2])), (l1, l2)
 
 
 @settings(deadline=None, max_examples=60)
