@@ -17,6 +17,7 @@ byte-identical either way, only the wall clock moves.
 """
 
 import os
+import sys
 
 import pytest
 
@@ -36,3 +37,32 @@ def once(benchmark):
 def sweep_workers():
     """Worker-pool size for sweep-shaped benches (0 = serial)."""
     return int(os.environ.get("SWEEP_WORKERS", "0"))
+
+
+@pytest.fixture
+def count_calls():
+    """``count_calls(fn)`` runs ``fn()`` and returns ``(calls, result)``.
+
+    ``calls`` is the number of Python function calls the run made on
+    this thread (``sys.setprofile`` "call" events; builtins are not
+    counted).  It depends on the code path only, not on the machine or
+    its load, so a ratio of two counts can gate a cost that a ratio of
+    two wall times on a shared box cannot.
+    """
+
+    def run(fn):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            result = fn()
+        finally:
+            sys.setprofile(None)
+        return calls, result
+
+    return run

@@ -1,11 +1,12 @@
 """The DOMINO server's control plane (Sec. 3), maintained in place.
 
-One :class:`ControlPlane` owns the interference map over a measured
-RSS matrix, the link conflict graph, the RAND scheduler, the
-conversion cache and the converter.  The simulator's controller and
-the online service each hold one and build none of the five
+One :class:`ControlPlane` owns the measured RSS table, the
+interference map over it, the link conflict graph, the RAND scheduler,
+the conversion cache and the converter.  The simulator's controller
+and the online service each hold one and build none of the six
 themselves.  A service RSS delta and a Sec. 5 measurement campaign
-are the same :meth:`~ControlPlane.update` call.
+are the same :meth:`~ControlPlane.write_rss` and
+:meth:`~ControlPlane.update` calls.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ import math
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
 
-import numpy as np
-
 from ..sched.rand_scheduler import RandScheduler
 from ..topology.conflict_graph import (ConflictDelta, add_vertices,
                                        build_conflict_graph, remove_vertices,
                                        update_conflict_graph)
-from ..topology.interference_map import InterferenceMap
+from ..sim.phy import dbm_to_mw
+from ..topology.interference_map import InterferenceMap, RssTable
 from ..topology.links import Link
-from ..topology.propagation import matrix_rss_fn
 from .conversion_cache import ConversionCache
 from .converter import ConverterConfig, ScheduleConverter
 from .relative_schedule import RelativeBatch, TriggerDuty
@@ -46,23 +45,24 @@ def link_universe(topology: "Topology") -> List[Link]:
 
 
 class ControlPlane:
-    """Map, conflict graph, scheduler, cache and converter as one unit.
+    """RSS table, map, conflict graph, scheduler, cache and converter
+    as one unit.
 
-    The map reads ``rss`` (tx row, rx column) live: callers write new
-    measurements into it in place, then call :meth:`update`.
+    The plane owns ``table`` and is its only writer: callers hand new
+    measurements to :meth:`write_rss`, then call :meth:`update` with
+    the nodes they touched.
     """
 
-    def __init__(self, rss: np.ndarray, profile: "PhyProfile",
+    def __init__(self, table: RssTable, profile: "PhyProfile",
                  links: Sequence[Link], converter: ConverterConfig,
                  batch_slots: int, demand_cap: int,
                  _parent: Optional["ControlPlane"] = None):
-        self.rss = rss
+        self.table = table
         self.profile = profile
         self.links: List[Link] = list(links)
         self.batch_slots = batch_slots
         self.demand_cap = demand_cap
-        self.imap = InterferenceMap(matrix_rss_fn(rss), profile,
-                                    margin_db=3.0)
+        self.imap = InterferenceMap(table, profile, margin_db=3.0)
         self.graph = build_conflict_graph(self.imap, self.links)
         queue = self.links if _parent is None else _parent.scheduler.queue
         self.scheduler = RandScheduler(self.graph, queue, imap=self.imap)
@@ -78,13 +78,37 @@ class ControlPlane:
 
     def fork(self) -> "ControlPlane":
         """The equality oracle's reference path: an uncached plane with
-        a fresh map and graph over the same RSS values, the live
+        a fresh table, map and graph over the same dBm values, the live
         fairness order and the converter at the same stream position.
-        It only reads the shared RSS matrix and writes nothing this
-        plane owns; hand its :meth:`next_batch` a copy of the queues."""
-        return ControlPlane(self.rss, self.profile, self.links,
+        Its mW rows are derived afresh rather than patched,
+        and it writes nothing this plane owns; hand its
+        :meth:`next_batch` a copy of the queues."""
+        return ControlPlane(self.table.copy(), self.profile, self.links,
                             self.converter.config, self.batch_slots,
                             self.demand_cap, _parent=self)
+
+    def write_rss(self, node: int, rss_to: Mapping[int, float],
+                  rss_from: Mapping[int, float]) -> None:
+        """Write fresh measurements for ``node`` into every row.
+
+        ``rss_to[other]`` is the RSS at ``other`` when ``node``
+        transmits (its row), ``rss_from[other]`` the reverse (its
+        column).  A ``node`` outside the table writes nothing; entries
+        naming ``node`` itself or a node outside the table are
+        skipped.  Trigger verdicts are read from the dBm rows, so they
+        follow.  Call :meth:`update` with ``node`` among the dirty
+        nodes before the next batch.
+        """
+        table = self.table
+        n = len(table.dbm)
+        if not 0 <= node < n:
+            return
+        for other, value in rss_to.items():
+            if other != node and 0 <= other < n:
+                _store(table, node, other, float(value))
+        for other, value in rss_from.items():
+            if other != node and 0 <= other < n:
+                _store(table, other, node, float(value))
 
     def update(self, links: Sequence[Link], dirty_nodes: Iterable[int],
                added: Sequence[Link] = (), removed: Sequence[Link] = (),
@@ -99,9 +123,7 @@ class ControlPlane:
         links and the conflict-graph delta.
         """
         dirty = frozenset(dirty_nodes)
-        # 1. Trigger verdicts touching a moved or (dis)appeared node.
-        self.imap.invalidate_nodes(dirty)
-        # 2. Membership, reconciled against the *net* effect: graph
+        # 1. Membership, reconciled against the *net* effect: graph
         #    vertices, fairness queue, retained connector.
         self.links = list(links)
         live = set(self.links)
@@ -116,14 +138,14 @@ class ControlPlane:
             self.scheduler.add_links(joined)
         if lap is not None:
             lap("membership_us")
-        # 3. Conflict edges incident to the dirty region only.
+        # 2. Conflict edges incident to the dirty region only.
         dirty_links = [link for link in self.links
                        if link.src in dirty or link.dst in dirty]
         conflict = update_conflict_graph(self.graph, self.imap, self.links,
                                          dirty_links)
         if lap is not None:
             lap("conflict_us")
-        # 4. Fake candidates follow the universe order.  5. Cache
+        # 3. Fake candidates follow the universe order.  4. Cache
         #    entries stay iff they provably cannot diverge.
         self.converter.fake_candidates = list(self.links)
         self.converter.revalidate_cache(
@@ -176,3 +198,9 @@ class ControlPlane:
                 if backlog is not None:
                     queues[entry.link] = max(0.0, backlog - 1.0)
         return batch
+
+
+def _store(table: RssTable, tx: int, rx: int, dbm: float) -> None:
+    """One entry of every row of ``table``."""
+    table.dbm[tx][rx] = dbm
+    table.mw[tx][rx] = dbm_to_mw(dbm)

@@ -30,6 +30,7 @@ from ..sim.medium import Medium
 from ..sim.wire import WiredBackbone
 from ..topology.builder import Topology
 from ..topology.conflict_graph import hearing_graph
+from ..topology.interference_map import RssTable
 from ..topology.links import Link
 from ..topology.measurement import ObservationStore, beacon_rounds
 from .coexistence import CoexistenceConfig, CoexistencePlanner
@@ -81,8 +82,8 @@ class DominoController:
         # the Sec. 5 beacon campaign in a real deployment).  Under
         # mobility it goes stale until the next campaign refreshes it.
         self.plane = ControlPlane(
-            topology.trace.rss_dbm.copy(), topology.profile, universe,
-            converter, batch_slots=self.config.batch_slots,
+            RssTable.from_matrix(topology.trace.rss_dbm), topology.profile,
+            universe, converter, batch_slots=self.config.batch_slots,
             demand_cap=self.config.demand_cap)
         network = topology.network
         self._aps = [ap.node_id for ap in network.aps]
@@ -327,12 +328,17 @@ class DominoController:
             self._campaign_store.record(observer, beaconer, rss_dbm)
 
     def refresh_from_observations(self, store: ObservationStore) -> int:
-        """Fold campaign observations into the map and patch the plane."""
-        updated = store.apply_to_matrix(self.plane.rss)
+        """Fold campaign observations into the map and patch the plane.
+
+        Each observer's heard beacons are its RSS column; returns the
+        number of entries written.
+        """
         observations = store.observations
+        for observer, heard in observations.items():
+            self.plane.write_rss(observer, {}, heard)
         self.plane.update(self.plane.links, set(observations).union(
             *observations.values()))
-        return updated
+        return store.count()
 
     # ------------------------------------------------------------------
     # Sec. 5 coexistence: CoP gaps between batches
@@ -441,11 +447,11 @@ def build_domino_network(sim: Simulator, topology: Topology,
         )
     wire = WiredBackbone(sim, mean_us=wire_mean_us, std_us=wire_std_us)
     controller = DominoController(sim, topology, wire, macs, config=config)
-    # ROP plumbing: subchannel plans and decoders.
-    rss = topology.trace.rss_fn()
+    # ROP plumbing: subchannel plans and decoders, from the measured map.
+    rss = controller.plane.table.dbm
     for ap in topology.network.aps:
         clients = [c.node_id for c in topology.network.clients_of(ap.node_id)]
-        plan = plan_subchannels(clients, lambda c: rss(c, ap.node_id))
+        plan = plan_subchannels(clients, lambda c: rss[c][ap.node_id])
         ap_mac = macs[ap.node_id]
         ap_mac.rop_decoder = RopDecoder(
             noise_dbm=topology.profile.noise_dbm)

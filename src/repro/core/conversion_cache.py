@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..topology.links import Link
-from .relative_schedule import RelativeBatch, RelativeSlot, TriggerDuty
+from .relative_schedule import RelativeBatch, RelativeSlot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from typing import Callable, FrozenSet
@@ -107,13 +107,8 @@ def clone_batch(batch: RelativeBatch, delta: int = 0,
     if delta == 0:
         duties = dict(batch.duties)
     else:
-        duties = {
-            (node, slot + delta): TriggerDuty(
-                node=duty.node, slot=duty.slot + delta,
-                targets=duty.targets, rop_polls=duty.rop_polls,
-                rop_flag=duty.rop_flag)
-            for (node, slot), duty in batch.duties.items()
-        }
+        duties = {(node, slot + delta): duty.shifted(delta)
+                  for (node, slot), duty in batch.duties.items()}
     return RelativeBatch(
         batch_id=batch.batch_id if batch_id is None else batch_id,
         slots=[RelativeSlot(index=slot.index + delta,

@@ -428,52 +428,61 @@ class ScheduleConverter:
                          duties: Dict[Tuple[int, int], _DutyBuilder],
                          batch: RelativeBatch) -> None:
         """Wire triggers from ``prev``'s participants to ``nxt``'s senders."""
-        candidates = sorted(prev.participants())
+        candidates = prev.participants()
         inbound: Dict[Link, List[int]] = {e.link: [] for e in nxt.entries}
+        max_outbound = self.config.max_outbound
+        dbm = self.imap.table.dbm
+        can_trigger = self.imap.node_can_trigger
+        # target -> the other candidates that can trigger it, by
+        # (-rss, node): strongest first, the lowest id on a tie.
+        ranked: Dict[int, List[int]] = {}
+
+        def ranking(target: int) -> List[int]:
+            order = ranked.get(target)
+            if order is None:
+                order = sorted(
+                    (node for node in candidates
+                     if node != target and can_trigger(node, target)),
+                    key=lambda node: (-dbm[node][target], node))
+                ranked[target] = order
+            return order
 
         def try_assign(entry: SlotEntry, foreign_only: bool = False) -> bool:
             """Pick one more trigger node for ``entry``.
 
-            ``foreign_only`` restricts the choice to nodes outside the
-            link's own endpoints: a backup trigger drawn from a
-            *different* chain is what couples chains together so that
-            "last trigger wins" can pull them into global alignment
-            (Sec. 3.4's healing needs cross-chain listening).
+            The target itself when eligible (it was active in the
+            previous slot and needs no over-the-air wake-up; costs no
+            outbound budget), else the first eligible node of its
+            ranking.  ``foreign_only`` restricts the choice to nodes
+            outside the link's own endpoints: a backup trigger drawn
+            from a *different* chain is what couples chains together
+            so that "last trigger wins" can pull them into global
+            alignment (Sec. 3.4's healing needs cross-chain listening).
             """
             link = entry.link
             target = link.src
-            best: Optional[int] = None
-            best_rss = float("-inf")
-            for node in candidates:
-                if node in inbound[link]:
-                    continue
-                if foreign_only and node in (link.src, link.dst):
-                    continue
+            taken = inbound[link]
+
+            def eligible(node: int) -> bool:
+                if node in taken:
+                    return False
+                if foreign_only and (node == link.src or node == link.dst):
+                    return False
                 duty = duties.get((node, prev.index))
-                if duty is not None and duty.outbound >= self.config.max_outbound:
-                    continue
-                if node == target:
-                    # Self-trigger: the target was active in the previous
-                    # slot and needs no over-the-air wake-up.  Prefer it
-                    # unconditionally; costs no outbound budget.
-                    best = node
-                    best_rss = float("inf")
-                    break
-                if not self.imap.node_can_trigger(node, target):
-                    continue
-                rss = self.imap.rss_dbm(node, target)
-                if rss > best_rss:
-                    best = node
-                    best_rss = rss
-            if best is None:
-                return False
-            inbound[link].append(best)
-            if best != target:
-                duty = duties.setdefault(
-                    (best, prev.index), _DutyBuilder(node=best, slot=prev.index)
-                )
-                duty.targets.add(target)
-            return True
+                return duty is None or duty.outbound < max_outbound
+
+            if target in candidates and eligible(target):
+                taken.append(target)
+                return True
+            for node in ranking(target):
+                if eligible(node):
+                    taken.append(node)
+                    duty = duties.setdefault(
+                        (node, prev.index),
+                        _DutyBuilder(node=node, slot=prev.index))
+                    duty.targets.add(target)
+                    return True
+            return False
 
         # First pass: one trigger per next-slot link; second pass: a
         # backup trigger where budget allows, preferably from a foreign
@@ -561,17 +570,19 @@ class ScheduleConverter:
                           duties: Dict[Tuple[int, int], _DutyBuilder]
                           ) -> Optional[int]:
         """Best slot participant that can wake ``ap`` for polling."""
+        participants = slot.participants()
+        if ap in participants:
+            return ap  # the AP is active in the slot: self-timed poll
+        dbm = self.imap.table.dbm
         best: Optional[int] = None
         best_rss = float("-inf")
-        for node in sorted(slot.participants()):
-            if node == ap:
-                return ap  # the AP is active in the slot: self-timed poll
+        for node in sorted(participants):
             duty = duties.get((node, slot.index))
             if duty is not None and duty.outbound >= self.config.max_outbound:
                 continue
             if not self.imap.node_can_trigger(node, ap):
                 continue
-            rss = self.imap.rss_dbm(node, ap)
+            rss = dbm[node][ap]
             if rss > best_rss:
                 best = node
                 best_rss = rss

@@ -79,6 +79,17 @@ class TriggerDuty:
         """Signatures combined in this burst (the <= 4 constraint)."""
         return len(self.targets) + len(self.rop_polls)
 
+    def shifted(self, delta: int) -> "TriggerDuty":
+        """This duty ``delta`` slots later, sharing every other field.
+
+        A cache replay renumbers a whole batch of duties, so this
+        fills the copy's ``__dict__`` in one update instead of the
+        frozen ``__init__``'s one ``object.__setattr__`` per field.
+        """
+        moved = object.__new__(TriggerDuty)
+        moved.__dict__.update(self.__dict__, slot=self.slot + delta)
+        return moved
+
     @property
     def empty(self) -> bool:
         return not self.targets and not self.rop_polls

@@ -14,9 +14,9 @@ Three deterministic event sources, all seeded:
   first-class event source without the topology layer importing the
   service.
 
-Generators work on private *copies* of the seed state (matrix,
-membership), so building a scenario never perturbs the state the
-engine will actually run on.
+Generators read the seed state's RSS table and work on private
+*copies* (rows, membership), so building a scenario never perturbs
+the state the engine will actually run on.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def churn_events(state: NetworkState,
                  ) -> List[ControllerEvent]:
     """A seeded mixed stream of controller events.
 
-    Tracks its own ground truth (matrix copy, membership copy) so the
+    Tracks its own ground truth (RSS rows copy, membership copy) so the
     stream is self-consistent: queue reports only for links that
     exist at that point, RSS jitter accumulates on the copy, departed
     clients rejoin their original AP with their current (jittered)
@@ -62,8 +62,8 @@ def churn_events(state: NetworkState,
     """
     cfg = config if config is not None else ChurnConfig()
     rng = random.Random(cfg.seed)
-    rss = state.rss.copy()
-    n = rss.shape[0]
+    rss = [list(row) for row in state.table.dbm]
+    n = len(rss)
     clients: Dict[int, int] = dict(state.clients)
     parked: Dict[int, int] = {}      # departed client -> home AP
     links: List[Link] = list(state.links)
@@ -83,10 +83,10 @@ def churn_events(state: NetworkState,
         for other in range(n):
             if other == node:
                 continue
-            rss[node, other] += rng.gauss(0.0, cfg.rss_jitter_db)
-            rss_to[other] = float(rss[node, other])
-            rss[other, node] += rng.gauss(0.0, cfg.rss_jitter_db)
-            rss_from[other] = float(rss[other, node])
+            rss[node][other] += rng.gauss(0.0, cfg.rss_jitter_db)
+            rss_to[other] = rss[node][other]
+            rss[other][node] += rng.gauss(0.0, cfg.rss_jitter_db)
+            rss_from[other] = rss[other][node]
         out.append(RssDelta(t_us=t, node=node, rss_to=rss_to,
                             rss_from=rss_from))
 
@@ -100,9 +100,8 @@ def churn_events(state: NetworkState,
             links.append(Link(client, ap))
             out.append(Associate(
                 t_us=t, client=client, ap=ap,
-                rss_to={o: float(rss[client, o])
-                        for o in range(n) if o != client},
-                rss_from={o: float(rss[o, client])
+                rss_to={o: rss[client][o] for o in range(n) if o != client},
+                rss_from={o: rss[o][client]
                           for o in range(n) if o != client}))
         elif len(clients) > 1:
             client = sorted(clients)[rng.randrange(len(clients))]
@@ -131,15 +130,15 @@ def link_rss_wobble(state: NetworkState, client: int, updates: int,
                     jitter_db: float = 1.5) -> List[RssDelta]:
     """Single-link deltas: re-measure one association pair repeatedly.
 
-    Each event touches only the ``(client, ap)`` matrix entries, so
+    Each event touches only the ``(client, ap)`` table entries, so
     the dirty region per epoch is exactly the client's two links —
     the workload the ≥5x incremental-vs-full criterion is stated
     over.
     """
     ap = state.clients[client]
     rng = random.Random(seed ^ (client * 2_654_435_761))
-    to_ap = float(state.rss[client, ap])
-    from_ap = float(state.rss[ap, client])
+    to_ap = state.table.dbm[client][ap]
+    from_ap = state.table.dbm[ap][client]
     out: List[RssDelta] = []
     t = start_us
     for _ in range(updates):

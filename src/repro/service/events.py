@@ -103,10 +103,23 @@ def _rss_out(mapping: Mapping[int, float]) -> Dict[str, float]:
             for node, value in sorted(mapping.items())}
 
 
-def _rss_in(mapping: Mapping[str, float]) -> Dict[int, float]:
+def _finite_number(value: object) -> bool:
+    """A JSON number that is finite (bool is not a number here)."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
+def _rss_in(kind: object, name: str, mapping: object) -> Dict[int, float]:
+    """One RSS field: a JSON object of finite numbers in dBm.  A NaN
+    entry would fail every SINR comparison, silently keeping its
+    link out of every slot, so it is refused here."""
     if not isinstance(mapping, dict):
-        raise ValueError(f"RSS entries must be a JSON object, "
+        raise ValueError(f"{kind} event: {name} must be a JSON object, "
                          f"not {type(mapping).__name__}")
+    for node, value in mapping.items():
+        if not _finite_number(value):
+            raise ValueError(f"{kind} event: {name}[{node!r}] must be a "
+                             f"finite number, not {value!r}")
     return {int(node): float(value) for node, value in mapping.items()}
 
 
@@ -142,11 +155,10 @@ def event_from_json(record: Mapping[str, object]) -> ControllerEvent:
             types, expected = (int, float), "a finite number"
         else:
             continue
-        if (isinstance(value, bool) or not isinstance(value, types)
-                or not math.isfinite(value)):
+        if not isinstance(value, types) or not _finite_number(value):
             raise ValueError(f"{kind} event: {name} must be {expected}, "
                              f"not {value!r}")
     if kind in ("associate", "rss_delta"):
-        data["rss_to"] = _rss_in(data.get("rss_to", {}))  # type: ignore[arg-type]
-        data["rss_from"] = _rss_in(data.get("rss_from", {}))  # type: ignore[arg-type]
+        for name in ("rss_to", "rss_from"):
+            data[name] = _rss_in(kind, name, data.get(name, {}))
     return _KINDS[kind](**data)  # type: ignore[arg-type, no-any-return]

@@ -1,11 +1,12 @@
 """The incremental recomputation engine behind the controller service.
 
 One :class:`IncrementalController` folds each epoch of events into the
-:class:`~repro.service.state.NetworkState` and hands the dirty region
-to its :class:`~repro.core.control_plane.ControlPlane`, which patches
-trigger verdicts, conflict edges incident to the dirty links (the
-conflict test reads only the two links' endpoints), membership and
-the conversion cache in place, never rebuilding from scratch.
+:class:`~repro.service.state.NetworkState`, writes the RSS they carry
+into its :class:`~repro.core.control_plane.ControlPlane`'s table and
+hands the plane the dirty region.  The plane patches conflict edges
+incident to the dirty links (the conflict test reads only the two
+links' endpoints), membership and the conversion cache in place,
+never rebuilding from scratch.
 
 :meth:`full_recompute` is the oracle's reference path: the next batch
 through :meth:`~repro.core.control_plane.ControlPlane.fork`, a
@@ -77,7 +78,7 @@ class IncrementalController:
         self.state = state
         self.config = config if config is not None else ServiceConfig()
         self.plane = ControlPlane(
-            state.rss, state.profile, state.links, self.config.converter,
+            state.table, state.profile, state.links, self.config.converter,
             batch_slots=self.config.batch_slots,
             demand_cap=self.config.demand_cap)
         self.version = 0
@@ -105,6 +106,8 @@ class IncrementalController:
             applied.state.merge(self.state.apply(event))
             applied.events += 1
         delta = applied.state
+        for node, rss_to, rss_from in delta.rss_writes:
+            self.plane.write_rss(node, rss_to, rss_from)
         if not delta.topology_dirty:
             return applied
         lap = None if applied.phases is None else _lap_timer(applied.phases)

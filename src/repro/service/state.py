@@ -1,14 +1,15 @@
 """Controller-side network state under an event stream.
 
 :class:`NetworkState` is the online controller's picture of the
-world: the measured RSS matrix (mutated strictly in place, so the
-control plane's interference map always reads current values), AP
-and client membership, the ordered link universe, and per-link queue
-backlogs.  Applying an event returns a :class:`StateDelta` naming the
-dirty region — the engine hands that to
-:meth:`repro.core.control_plane.ControlPlane.update`, which patches
-the graph and cache in place; the live structures are never
-rebuilt.
+world: the measured RSS table, AP and client membership, the ordered
+link universe, and per-link queue backlogs.  The state never writes
+the table: the control plane built over it adopts the table and is
+its only writer.  Applying an event returns a :class:`StateDelta`
+naming the RSS it carries and the dirty region — the engine hands
+the writes to :meth:`repro.core.control_plane.ControlPlane.write_rss`
+and the region to :meth:`~repro.core.control_plane.ControlPlane.update`,
+which patches the graph and cache in place; the live structures are
+never rebuilt.
 
 Universe ordering is load-bearing: fake candidates are tried in
 universe order, so the order must be a deterministic function of the
@@ -21,11 +22,12 @@ remove theirs, everything else keeps its position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Set
+from typing import TYPE_CHECKING, Dict, List, Mapping, Set, Tuple
 
 import numpy as np
 
 from ..core.control_plane import link_universe
+from ..topology.interference_map import RssTable
 from ..topology.links import Link
 from .events import (Associate, ControllerEvent, Disassociate, QueueUpdate,
                      RssDelta)
@@ -35,10 +37,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only dependencies
     from ..topology.builder import Topology
 
 
+RssWrite = Tuple[int, Mapping[int, float], Mapping[int, float]]
+
+
 @dataclass
 class StateDelta:
     """Dirty region of one applied event (or an accumulation of them)."""
 
+    #: ``(node, rss_to, rss_from)`` per RSS-carrying event, in event
+    #: order, for :meth:`~repro.core.control_plane.ControlPlane.write_rss`.
+    rss_writes: List[RssWrite] = field(default_factory=list)
     dirty_nodes: Set[int] = field(default_factory=set)
     added_links: List[Link] = field(default_factory=list)
     removed_links: List[Link] = field(default_factory=list)
@@ -51,6 +59,7 @@ class StateDelta:
                     or self.removed_links)
 
     def merge(self, other: "StateDelta") -> None:
+        self.rss_writes.extend(other.rss_writes)
         self.dirty_nodes |= other.dirty_nodes
         self.added_links.extend(l for l in other.added_links
                                 if l not in self.added_links)
@@ -66,10 +75,9 @@ class NetworkState:
     def __init__(self, rss_dbm: np.ndarray, aps: List[int],
                  clients: Mapping[int, int], links: List[Link],
                  profile: "PhyProfile"):
-        #: Measured RSS matrix; mutated in place only — the control
-        #: plane's interference map holds a closure over this exact
-        #: array.
-        self.rss = np.array(rss_dbm, dtype=float)
+        #: Measured RSS, tx row by rx column.  Built from ``rss_dbm``
+        #: (which is not kept); the control plane adopts it.
+        self.table = RssTable.from_matrix(rss_dbm)
         self.aps = list(aps)
         self._ap_set = frozenset(self.aps)
         #: client id -> governing AP, in association order.
@@ -100,7 +108,7 @@ class NetworkState:
     # ------------------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        return int(self.rss.shape[0])
+        return len(self.table.dbm)
 
     def ap_of(self, node: int) -> int:
         return node if node in self._ap_set else self.clients[node]
@@ -141,23 +149,14 @@ class NetworkState:
         self.queues[link] = max(0.0, float(event.backlog))
         return StateDelta(queue_events=1)
 
-    def _write_rss(self, node: int, rss_to: Mapping[int, float],
-                   rss_from: Mapping[int, float]) -> None:
-        n = self.n_nodes
-        for other, value in rss_to.items():
-            if other != node and 0 <= other < n:
-                self.rss[node, other] = float(value)
-        for other, value in rss_from.items():
-            if other != node and 0 <= other < n:
-                self.rss[other, node] = float(value)
-
     def _apply_rss(self, event: RssDelta) -> StateDelta:
         if not 0 <= event.node < self.n_nodes:
             return StateDelta(ignored_events=1)
         if not event.rss_to and not event.rss_from:
             return StateDelta(ignored_events=1)
-        self._write_rss(event.node, event.rss_to, event.rss_from)
-        return StateDelta(dirty_nodes={event.node})
+        return StateDelta(
+            rss_writes=[(event.node, event.rss_to, event.rss_from)],
+            dirty_nodes={event.node})
 
     def _apply_associate(self, event: Associate) -> StateDelta:
         client, ap = event.client, event.ap
@@ -171,7 +170,7 @@ class NetworkState:
             delta.merge(self._apply_disassociate(
                 Disassociate(t_us=event.t_us, client=client)))
             delta.dirty_nodes.add(client)
-        self._write_rss(client, event.rss_to, event.rss_from)
+        delta.rss_writes.append((client, event.rss_to, event.rss_from))
         self.clients[client] = ap
         for link in self.association_links(client, ap):
             if link not in self.queues:

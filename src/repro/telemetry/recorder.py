@@ -22,19 +22,24 @@ built, nothing is sorted or rounded, the constant parts of a record
 module-level constants.  Records are materialized into the canonical
 dict schema of :mod:`~repro.telemetry.events` only when read back
 (``records()`` / export), which is never inside the event loop.  The
-enabled-path budget is asserted by the same overhead benchmark (<20 %).
+generic ``emit(dict)`` sink validates its record on write, by the
+rules every trace reader applies, and buffers the same kind of tuple,
+so every buffered entry has one form.  The enabled-path budget is
+asserted by the same overhead benchmark (<20 %).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import MISSING, fields
 from typing import (IO, TYPE_CHECKING, Any, Deque, Iterable, Iterator, List,
-                    Optional, Type, Union)
+                    Optional, Type)
 
 from . import jsonl
 from .events import EVENT_TYPES, required_fields
 from .log import get_logger
 from .metrics import Metric, MetricsRegistry
+from .trace_view import _validate
 
 if TYPE_CHECKING:  # pragma: no cover - the recorder only duck-types
     from ..sim.packet import Frame  # Frame; no runtime sim dependency
@@ -183,19 +188,20 @@ TX_META_KEY = "_tel_tx"
 # drift apart (test_every_helper_matches_its_schema pins this).
 # ----------------------------------------------------------------------
 _FIELDS = {kind: tuple(required_fields(kind)) for kind in EVENT_TYPES}
+#: Per kind, ``(field, default)`` in raw-tuple order: what
+#: :meth:`TraceRecorder.emit` stores for a field its record leaves out.
+_DEFAULTS = {kind: tuple((f.name, None if f.default is MISSING else f.default)
+                         for f in fields(cls))
+             for kind, cls in EVENT_TYPES.items()}
 
-Raw = Union[tuple, dict]
 
-
-def _materialize(raw: Raw) -> dict:
+def _materialize(raw: tuple) -> dict:
     """One buffered entry as its canonical record dict.
 
     Normalization deferred off the hot path happens here: set-valued
     fields are sorted (exports must be deterministic), floats captured
     at full precision are rounded to their schema width.
     """
-    if type(raw) is dict:
-        return raw
     kind = raw[0]
     record = {"ev": kind}
     record.update(zip(_FIELDS[kind], raw[1:]))
@@ -237,7 +243,7 @@ class TraceRecorder(NullRecorder):
             raise ValueError("trace capacity must be positive")
         self.capacity = capacity
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._events: Deque[Raw] = deque(maxlen=capacity)
+        self._events: Deque[tuple] = deque(maxlen=capacity)
         # Bound method cached: the hot helpers call it directly, so an
         # emission is one append + one counter bump.  The maxlen deque
         # evicts for us; ``evicted`` is derived, not counted inline.
@@ -248,8 +254,17 @@ class TraceRecorder(NullRecorder):
     # Sink
     # ------------------------------------------------------------------
     def emit(self, record: dict) -> None:
-        """Generic sink for pre-built record dicts (cold path)."""
-        self._append(record)
+        """Generic sink for pre-built record dicts (cold path).
+
+        The record is checked against the schema by the rules every
+        trace reader applies (a bad one raises
+        :class:`~repro.telemetry.jsonl.TraceFormatError`, one line)
+        and buffered as the raw tuple the typed helpers append;
+        fields it leaves out take their schema defaults.
+        """
+        kind = _validate(self.emitted, record)
+        self._append((kind, *[record.get(name, default)
+                              for name, default in _DEFAULTS[kind]]))
         self.emitted += 1
 
     def __len__(self) -> int:

@@ -9,7 +9,7 @@ whose hearing/conflict semantics the paper specifies exactly.
 from .builder import (Topology, TopologyError, build_t_topology,
                       fig1_topology, fig7_topology, fig13a_topology,
                       fig13b_topology, random_t_topology, usrp_pair_topology)
-from .interference_map import InterferenceMap
+from .interference_map import InterferenceMap, RssTable
 from .conflict_graph import (build_conflict_graph, greedy_maximal_extension,
                              hearing_graph, is_independent_set,
                              two_hop_graph)
@@ -32,7 +32,8 @@ __all__ = [
     "fig1_topology", "fig7_topology", "greedy_maximal_extension",
     "grid_placement", "hearing_graph", "InterferenceMap", "is_independent_set",
     "manual_trace", "matrix_rss_fn", "move_node",
-    "random_placement", "random_t_topology", "two_building_placement",
+    "random_placement", "random_t_topology", "RssTable",
+    "two_building_placement",
     "two_building_trace", "two_hop_graph", "usrp_pair_topology",
     "validate_rounds",
 ]

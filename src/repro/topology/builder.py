@@ -32,7 +32,7 @@ from ..sim.engine import Simulator
 from ..sim.medium import Medium
 from ..sim.node import Network
 from ..sim.phy import DOT11G, PhyProfile
-from .interference_map import InterferenceMap
+from .interference_map import InterferenceMap, RssTable
 from .links import Link
 from .propagation import NS3_DEFAULT, LogDistanceModel
 from .trace import SyntheticTrace, manual_trace
@@ -60,8 +60,10 @@ class Topology:
     name: str = "topology"
 
     def interference_map(self, margin_db: float = 3.0) -> InterferenceMap:
-        return InterferenceMap(self.trace.rss_fn(), self.profile,
-                               margin_db=margin_db)
+        """A map over a snapshot of the trace's RSS matrix: later
+        changes to the trace (``move_node``) do not reach it."""
+        return InterferenceMap(RssTable.from_matrix(self.trace.rss_dbm),
+                               self.profile, margin_db=margin_db)
 
     def build_medium(self, sim: Simulator) -> Medium:
         medium = Medium(sim, self.profile, self.trace.rss_fn())

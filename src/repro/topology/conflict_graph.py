@@ -102,6 +102,10 @@ def update_conflict_graph(graph: Adjacency[Link], imap: "InterferenceMap",
     dirty_set = set(dirty)
     for dl in dirty:
         neighbours = graph[dl]
+        # ``imap.conflicts(dl, other)`` is the two-link slot: fold
+        # ``dl`` alone once, then test each partner against it.
+        alone = imap.slot()
+        viable = alone.try_add(dl)
         for other in links:
             if other == dl:
                 continue
@@ -109,7 +113,7 @@ def update_conflict_graph(graph: Adjacency[Link], imap: "InterferenceMap",
             if other in dirty_set and other < dl:
                 continue
             delta.checked += 1
-            conflicting = imap.conflicts(dl, other)
+            conflicting = not (viable and alone.fits(other))
             if conflicting and other not in neighbours:
                 neighbours.add(other)
                 graph[other].add(dl)

@@ -2,14 +2,15 @@
 
 The DOMINO server maintains the received signal strength between all
 node pairs and derives from it which links may transmit concurrently.
-This module wraps an RSS source (trace matrix or propagation model)
-and answers the questions the scheduler, converter and analysis need:
+This module keeps that RSS as Python rows (:class:`RssTable`, built
+once from a trace matrix) and answers the questions the scheduler,
+converter and analysis need:
 
 * does a whole slot survive additive interference, grown one link at
   a time (``slot`` / ``SlotSurvival``, and ``set_survives`` on top)?
 * can two links be active in the same slot (``conflicts``, which is
   exactly the two-link slot)?
-* can a node's signature trigger another node (``can_trigger``)?
+* can a node's signature trigger another node (``node_can_trigger``)?
 * which link pairs are *hidden* or *exposed* — the counts reported in
   Sec. 4.2.3 ("10 hidden link pairs and 62 exposed link pairs out of
   720 possible link pairs").
@@ -27,24 +28,52 @@ slot, so the conflict graph and the RAND slots read one SINR fold,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..sim.phy import (SIGNATURE_CORRELATION_GAIN_DB, PhyProfile, dbm_to_mw,
                        mw_to_dbm)
 from .links import Link
 
-RssFn = Callable[[int, int], float]
+
+class RssTable:
+    """Measured RSS between every ordered node pair, as Python rows.
+
+    ``dbm[tx][rx]`` is the RSS in dBm (tx row, rx column, the medium's
+    convention) and ``mw[tx][rx]`` the same power in mW (``-inf`` dBm
+    is 0 mW), converted once per entry: a read is two list indexes and
+    yields the float a per-read conversion would.  A table is a
+    snapshot: it never reads the matrix it was built from again.  The
+    control plane's table has one writer,
+    :meth:`repro.core.control_plane.ControlPlane.write_rss`.
+    """
+
+    __slots__ = ("dbm", "mw")
+
+    def __init__(self, dbm: List[List[float]]):
+        self.dbm = dbm
+        self.mw = [[dbm_to_mw(value) for value in row] for row in dbm]
+
+    @classmethod
+    def from_matrix(cls, matrix: "np.ndarray") -> "RssTable":
+        """A table over the values of ``matrix`` (an array or nested
+        sequences, tx row by rx column); the matrix is not kept."""
+        return cls(np.asarray(matrix, dtype=float).tolist())
+
+    def copy(self) -> "RssTable":
+        """A table over the same dBm values with the mW rows derived
+        afresh."""
+        return RssTable([list(row) for row in self.dbm])
 
 
-@dataclass
 class InterferenceMap:
-    """RSS-matrix view used by the central server.
+    """The central server's view of an :class:`RssTable`.
 
     Parameters
     ----------
-    rss_dbm:
-        ``rss_dbm(tx, rx)`` in dBm, same convention as the medium.
+    table:
+        The RSS rows every query reads.
     profile:
         PHY profile; supplies noise floor, CS threshold and the data
         SINR threshold used in the conflict test.
@@ -53,18 +82,31 @@ class InterferenceMap:
         links compatible, so borderline pairs are scheduled apart.
     """
 
-    rss_dbm: RssFn
-    profile: PhyProfile
-    margin_db: float = 3.0
-    _trigger_cache: Dict[Tuple[int, int], bool] = field(default_factory=dict)
+    def __init__(self, table: RssTable, profile: PhyProfile,
+                 margin_db: float = 3.0):
+        self.table = table
+        self.profile = profile
+        self.margin_db = margin_db
+        #: The SINR fold's constants, shared by every slot of this map.
+        self.noise_mw = profile.noise_mw()
+        self.data_min_db = (profile.sinr_threshold_db(profile.data_rate_mbps)
+                            + margin_db)
+        self.ack_min_db = (profile.sinr_threshold_db(profile.basic_rate_mbps)
+                           + margin_db)
+        #: Signature SNR a trigger needs: the basic-rate threshold less
+        #: the Gold-code correlation gain, plus 6 dB of headroom.
+        self.trigger_min_snr_db = (
+            profile.sinr_threshold_db(profile.basic_rate_mbps)
+            - SIGNATURE_CORRELATION_GAIN_DB + 6.0)
 
     # ------------------------------------------------------------------
     # Carrier sense and conflicts
     # ------------------------------------------------------------------
     def in_cs_range(self, a: int, b: int) -> bool:
         """Do ``a`` and ``b`` carrier-sense each other's transmissions?"""
-        return (self.rss_dbm(a, b) >= self.profile.cs_threshold_dbm
-                or self.rss_dbm(b, a) >= self.profile.cs_threshold_dbm)
+        dbm = self.table.dbm
+        threshold = self.profile.cs_threshold_dbm
+        return dbm[a][b] >= threshold or dbm[b][a] >= threshold
 
     def conflicts(self, l1: Link, l2: Link) -> bool:
         """May ``l1`` and ``l2`` NOT share a slot?
@@ -79,7 +121,7 @@ class InterferenceMap:
         slot also tests ``l1`` alone first, which flips no verdict:
         ``l2`` only adds a non-negative interference term.
         """
-        slot = self.slot()
+        slot = SlotSurvival(self)
         return not (slot.try_add(l1) and slot.try_add(l2))
 
     def slot(self) -> "SlotSurvival":
@@ -109,35 +151,11 @@ class InterferenceMap:
         Signature detection enjoys the Gold-code correlation gain, so
         the requirement is only that the signature arrives above an
         SNR the correlator can work with; interference robustness is
-        handled at runtime by the detection model.
+        handled at runtime by the detection model.  The verdict is
+        read from the dBm rows, so it follows every write.
         """
-        key = (src, target)
-        cached = self._trigger_cache.get(key)
-        if cached is not None:
-            return cached
-        snr_db = self.rss_dbm(src, target) - self.profile.noise_dbm
-        basic_threshold = self.profile.sinr_threshold_db(self.profile.basic_rate_mbps)
-        ok = snr_db >= basic_threshold - SIGNATURE_CORRELATION_GAIN_DB + 6.0
-        self._trigger_cache[key] = ok
-        return ok
-
-    def invalidate_nodes(self, nodes: Iterable[int]) -> None:
-        """Purge cached trigger verdicts touching ``nodes``.
-
-        The trigger cache is the map's only memoized state; everything
-        else reads the RSS source live.  After an in-place RSS change
-        confined to some nodes' rows/columns (mobility, re-measurement)
-        the control plane calls this with exactly those nodes, so
-        stale verdicts disappear while the rest of the cache — the
-        expensive steady-state majority — survives.
-        """
-        dirty = frozenset(nodes)
-        if not dirty:
-            return
-        stale = [key for key in self._trigger_cache
-                 if key[0] in dirty or key[1] in dirty]
-        for key in stale:
-            del self._trigger_cache[key]
+        return (self.table.dbm[src][target] - self.profile.noise_dbm
+                >= self.trigger_min_snr_db)
 
     # ------------------------------------------------------------------
     # Hidden / exposed census (Sec. 4.2.3)
@@ -180,26 +198,23 @@ class SlotSurvival:
     other links in acceptance order, which is term for term the
     whole-slot fold over the slot's list, so every verdict equals
     ``set_survives([*links, cand])``.  Testing a candidate against
-    ``k`` accepted links reads ``4k`` RSS terms instead of re-folding
-    ``2(k+1)^2``.  RSS is read live; nothing is kept beyond the slot's
-    own sums.  This is the map's only SINR fold: the pairwise
-    ``conflicts`` is a two-link slot.
+    ``k`` accepted links reads ``4k`` mW entries of the map's
+    :class:`RssTable` instead of re-folding ``2(k+1)^2``.  Nothing is
+    kept beyond the slot's own sums.  This is the map's only SINR fold:
+    the pairwise ``conflicts`` is a two-link slot.
     """
 
-    __slots__ = ("links", "_rss", "_nodes", "_noise_mw", "_data_min_db",
-                 "_ack_min_db", "_recv")
+    __slots__ = ("links", "_mw", "_nodes", "_noise_mw",
+                 "_data_min_db", "_ack_min_db", "_recv")
 
     def __init__(self, imap: InterferenceMap):
-        profile = imap.profile
         #: Accepted links, in acceptance order.
         self.links: List[Link] = []
-        self._rss = imap.rss_dbm
+        self._mw = imap.table.mw
         self._nodes: Set[int] = set()
-        self._noise_mw = profile.noise_mw()
-        self._data_min_db = (profile.sinr_threshold_db(profile.data_rate_mbps)
-                             + imap.margin_db)
-        self._ack_min_db = (profile.sinr_threshold_db(profile.basic_rate_mbps)
-                            + imap.margin_db)
+        self._noise_mw = imap.noise_mw
+        self._data_min_db = imap.data_min_db
+        self._ack_min_db = imap.ack_min_db
         #: Per accepted link: (src, dst, data signal dBm, data
         #: interference mW, ACK signal dBm, ACK interference mW).
         self._recv: List[Tuple[int, int, float, float, float, float]] = []
@@ -209,33 +224,47 @@ class SlotSurvival:
 
         A rejected link leaves the slot untouched.
         """
+        recv = self._fold(link)
+        if recv is None:
+            return False
+        self._recv = recv
+        self.links.append(link)
+        self._nodes.update(link)
+        return True
+
+    def fits(self, link: Link) -> bool:
+        """Would :meth:`try_add` accept ``link``?  Leaves the slot as
+        it is, so one slot can test many candidates."""
+        return self._fold(link) is not None
+
+    def _fold(self, link: Link
+              ) -> Optional[List[Tuple[int, int, float, float, float, float]]]:
+        """The accepted links' sums with ``link`` added, plus its own
+        entry; ``None`` when some reception would fail."""
         src, dst = link
         if src in self._nodes or dst in self._nodes:
-            return False
-        rss = self._rss
+            return None
+        mw = self._mw
+        from_src, from_dst = mw[src], mw[dst]
         data_min, ack_min = self._data_min_db, self._ack_min_db
         data_mw = ack_mw = self._noise_mw
         recv = []
         for o_src, o_dst, o_data_db, o_data_mw, o_ack_db, o_ack_mw in self._recv:
-            data_mw += dbm_to_mw(rss(o_src, dst))
-            ack_mw += dbm_to_mw(rss(o_dst, src))
-            o_data_mw += dbm_to_mw(rss(src, o_dst))
+            data_mw += mw[o_src][dst]
+            ack_mw += mw[o_dst][src]
+            o_data_mw += from_src[o_dst]
             if not o_data_db - mw_to_dbm(o_data_mw) >= data_min:
-                return False
-            o_ack_mw += dbm_to_mw(rss(dst, o_src))
+                return None
+            o_ack_mw += from_dst[o_src]
             if not o_ack_db - mw_to_dbm(o_ack_mw) >= ack_min:
-                return False
+                return None
             recv.append((o_src, o_dst, o_data_db, o_data_mw, o_ack_db,
                          o_ack_mw))
-        data_db = mw_to_dbm(dbm_to_mw(rss(src, dst)))
+        data_db = mw_to_dbm(from_src[dst])
         if not data_db - mw_to_dbm(data_mw) >= data_min:
-            return False
-        ack_db = mw_to_dbm(dbm_to_mw(rss(dst, src)))
+            return None
+        ack_db = mw_to_dbm(from_dst[src])
         if not ack_db - mw_to_dbm(ack_mw) >= ack_min:
-            return False
+            return None
         recv.append((src, dst, data_db, data_mw, ack_db, ack_mw))
-        self._recv = recv
-        self.links.append(link)
-        self._nodes.add(src)
-        self._nodes.add(dst)
-        return True
+        return recv

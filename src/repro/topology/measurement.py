@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
-import numpy as np
-
 from .conflict_graph import Adjacency, V, two_hop_graph
 
 
@@ -106,16 +104,3 @@ class ObservationStore:
 
     def count(self) -> int:
         return sum(len(v) for v in self.observations.values())
-
-    def apply_to_matrix(self, matrix: "np.ndarray") -> int:
-        """Write observations into an RSS matrix (tx row, rx column).
-
-        Pairs never observed keep their previous value.  Returns the
-        number of entries updated.
-        """
-        updated = 0
-        for observer, heard in self.observations.items():
-            for beaconer, rss in heard.items():
-                matrix[beaconer][observer] = rss
-                updated += 1
-        return updated

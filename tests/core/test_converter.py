@@ -112,7 +112,6 @@ class TestTriggerAssignment:
         # no over-the-air trigger can reach anyone.
         converter, imap, graph, universe = make_converter(
             topology, ConverterConfig(insert_fakes=False))
-        imap._trigger_cache.clear()
         imap.node_can_trigger = lambda src, dst: False
         strict = StrictSchedule()
         strict.append([Link(0, 1)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.converter import ScheduleConverter
 from repro.core.relative_schedule import build_programs
-from repro.topology.interference_map import InterferenceMap
+from repro.topology.interference_map import InterferenceMap, RssTable
 from repro.sched.rand_scheduler import RandScheduler
 from repro.sim.phy import DOT11G
 from repro.topology.conflict_graph import build_conflict_graph
@@ -35,7 +35,7 @@ def random_pairs_setup(n_pairs: int, seed: int):
         elif roll < 0.4:
             rss[(a, b)] = -55.0   # reception-breaking interference
     trace = manual_trace(2 * n_pairs, rss)
-    imap = InterferenceMap(trace.rss_fn(), DOT11G)
+    imap = InterferenceMap(RssTable.from_matrix(trace.rss_dbm), DOT11G)
     graph = build_conflict_graph(imap, links)
     return imap, graph, links
 

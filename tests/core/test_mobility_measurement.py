@@ -7,7 +7,6 @@ campaign rediscover the conflict and the scheduler separates them.
 """
 
 
-import numpy as np
 import pytest
 
 from repro.core import build_domino_network
@@ -15,6 +14,7 @@ from repro.metrics.stats import FlowRecorder
 from repro.service.revision import batch_digest
 from repro.sim.engine import Simulator
 from repro.sim.node import Network
+from repro.sim.phy import dbm_to_mw
 from repro.topology.builder import Topology
 from repro.topology.conflict_graph import build_conflict_graph, two_hop_graph
 from repro.topology.interference_map import InterferenceMap
@@ -23,7 +23,7 @@ from repro.topology.measurement import (ObservationStore, beacon_rounds,
                                         campaign_overhead_fraction,
                                         validate_rounds)
 from repro.topology.mobility import move_node
-from repro.topology.propagation import LogDistanceModel, matrix_rss_fn
+from repro.topology.propagation import LogDistanceModel
 from repro.topology.trace import SyntheticTrace
 from repro.traffic.udp import SaturatedSource
 from tests.graphs import path_graph, star_graph, undirected
@@ -101,13 +101,19 @@ class TestBeaconRounds:
 
 
 def test_observation_store_updates_matrix():
+    """The campaign writes each observation into the plane's table:
+    the beaconer's row, the observer's column, dBm and mW alike."""
+    controller = build_domino_network(Simulator(seed=0),
+                                      make_mobile_topology()).controller
     store = ObservationStore()
     store.record(observer=1, beaconer=0, rss_dbm=-55.0)
     store.record(observer=0, beaconer=1, rss_dbm=-58.0)
-    matrix = np.full((2, 2), -120.0)
-    assert store.apply_to_matrix(matrix) == 2
-    assert matrix[0][1] == -55.0   # tx row, rx column
-    assert matrix[1][0] == -58.0
+    assert controller.refresh_from_observations(store) == 2
+    table = controller.plane.table
+    assert table.dbm[0][1] == -55.0   # tx row, rx column
+    assert table.dbm[1][0] == -58.0
+    assert table.mw[0][1] == dbm_to_mw(-55.0)
+    assert table.mw[1][0] == dbm_to_mw(-58.0)
 
 
 def test_move_node_updates_both_directions():
@@ -188,7 +194,7 @@ def test_campaign_patches_the_plane_like_a_fresh_build():
 
     plane = controller.plane
     fresh = build_conflict_graph(
-        InterferenceMap(matrix_rss_fn(plane.rss), topology.profile),
+        InterferenceMap(plane.table.copy(), topology.profile),
         plane.links)
     assert plane.graph == fresh
     assert Link(2, 3) in plane.graph[Link(0, 1)]

@@ -1,7 +1,7 @@
 """Tests for the central interference map."""
 
 
-from repro.topology.interference_map import InterferenceMap
+from repro.topology.interference_map import InterferenceMap, RssTable
 from repro.sim.phy import DOT11G
 from repro.topology.builder import fig1_topology
 from repro.topology.links import Link
@@ -10,7 +10,8 @@ from repro.topology.trace import manual_trace
 
 def make_imap(pairs, n=6, margin=3.0):
     trace = manual_trace(n, pairs)
-    return InterferenceMap(trace.rss_fn(), DOT11G, margin_db=margin)
+    return InterferenceMap(RssTable.from_matrix(trace.rss_dbm), DOT11G,
+                           margin_db=margin)
 
 
 def test_shared_node_always_conflicts():

@@ -28,6 +28,18 @@ class TestJsonRoundTrip:
         assert event_from_json(parsed) == RssDelta(
             t_us=1.0, node=2, rss_to={0: -50.0}, rss_from={})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), "-50", True, None])
+    def test_rss_entry_must_be_a_finite_number(self, value):
+        """A NaN entry fails every SINR comparison, keeping its link
+        out of every slot without a word; strings and bools are not
+        numbers.  The error names the event kind and the field."""
+        with pytest.raises(ValueError) as err:
+            event_from_json({"kind": "rss_delta", "t_us": 0.0, "node": 1,
+                             "rss_from": {"0": value}})
+        assert str(err.value).startswith("rss_delta event: rss_from[")
+        assert "\n" not in str(err.value)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             event_from_json({"kind": "teleport", "t_us": 0.0})

@@ -150,7 +150,7 @@ class TestMembershipEdgeCases:
         reach the last node's row through negative indexing, and 99
         must not raise out of the service."""
         engine, service = self.service_for(fig7_topology())
-        before = engine.state.rss.copy()
+        before = [list(row) for row in engine.plane.table.dbm]
         stats = service.run_events([
             RssDelta(t_us=0.0, node=-1, rss_to={0: -30.0},
                      rss_from={0: -30.0}),
@@ -158,7 +158,7 @@ class TestMembershipEdgeCases:
                      rss_from={0: -30.0}),
         ])
         assert stats.ignored_events == 2
-        assert (engine.state.rss == before).all()
+        assert engine.plane.table.dbm == before
         assert_graph_fresh(engine)
 
 

@@ -156,9 +156,22 @@ class TestCli:
             {"kind": "events", "events": [
                 {"kind": "queue_update", "t_us": 0.0, "src": 0, "dst": 1,
                  "backlog": float("inf")}]}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "events", "events": [
+                {"kind": "rss_delta", "t_us": 0.0, "node": 1,
+                 "rss_to": {"0": float("nan")}}]}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "events", "events": [
+                {"kind": "associate", "t_us": 0.0, "client": 1, "ap": 0,
+                 "rss_from": {"0": float("-inf")}}]}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "events", "events": [
+                {"kind": "rss_delta", "t_us": 0.0, "node": 1,
+                 "rss_to": {"0": "-50"}}]}]},
     ], ids=["unknown-kind", "list", "topology-list", "source-int",
             "event-node-str", "event-backlog-str", "event-rss-list",
-            "event-backlog-inf"])
+            "event-backlog-inf", "event-rss-nan", "event-rss-inf",
+            "event-rss-str"])
     def test_invalid_scenario_exits_2(self, tmp_path, capsys, scenario):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))

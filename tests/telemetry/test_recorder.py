@@ -7,8 +7,9 @@ import pytest
 
 from repro import telemetry
 from repro.sim.packet import Frame, FrameKind
-from repro.telemetry import (NULL, NullRecorder, TraceRecorder, TraceView,
-                             filter_records, from_record, jsonl)
+from repro.telemetry import (NULL, NullRecorder, TraceFormatError,
+                             TraceRecorder, TraceView, filter_records,
+                             from_record, jsonl)
 from repro.telemetry.events import SignatureDetect, required_fields
 
 
@@ -17,6 +18,12 @@ def _clean_module_state():
     telemetry.deactivate()
     yield
     telemetry.deactivate()
+
+
+def watchdog(t):
+    """A minimal valid record for the generic ``emit`` sink."""
+    return {"ev": "backup_trigger", "t": t, "node": 0, "slot": 0,
+            "reason": "watchdog"}
 
 
 def make_frame(src=0, dst=1, seq=7, slot=None):
@@ -31,7 +38,7 @@ class TestRingBuffer:
     def test_eviction_keeps_newest(self):
         rec = TraceRecorder(capacity=4)
         for i in range(10):
-            rec.emit({"ev": "x", "t": float(i)})
+            rec.emit(watchdog(float(i)))
         assert len(rec) == 4
         assert rec.emitted == 10
         assert rec.evicted == 6
@@ -39,15 +46,30 @@ class TestRingBuffer:
 
     def test_no_eviction_below_capacity(self):
         rec = TraceRecorder(capacity=4)
-        rec.emit({"ev": "x", "t": 0.0})
+        rec.emit(watchdog(0.0))
         assert rec.evicted == 0 and rec.emitted == 1
 
     def test_clear_resets_counters(self):
         rec = TraceRecorder(capacity=2)
         for i in range(5):
-            rec.emit({"ev": "x", "t": float(i)})
+            rec.emit(watchdog(float(i)))
         rec.clear()
         assert len(rec) == 0 and rec.emitted == 0 and rec.evicted == 0
+
+    def test_emit_validates_on_write(self):
+        """A record outside the schema is refused with one line naming
+        the record and the problem, and nothing is buffered; a valid
+        one reads back with its schema defaults filled in."""
+        rec = TraceRecorder(capacity=4)
+        with pytest.raises(TraceFormatError,
+                           match=r"^record #0: unknown kind 'x'$"):
+            rec.emit({"ev": "x", "t": 0.0})
+        with pytest.raises(TraceFormatError, match="missing field 'reason'"):
+            rec.emit({"ev": "backup_trigger", "t": 0.0, "node": 0,
+                      "slot": 0})
+        assert len(rec) == 0 and rec.emitted == 0
+        rec.emit(watchdog(1.5))
+        assert rec.records() == [dict(watchdog(1.5), id=None)]
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from repro.sched.rand_scheduler import RandScheduler
 from repro.sim.phy import DOT11G, dbm_to_mw, mw_to_dbm
 from repro.topology.conflict_graph import (build_conflict_graph,
                                            greedy_maximal_extension)
-from repro.topology.interference_map import InterferenceMap
+from repro.topology.interference_map import InterferenceMap, RssTable
 from repro.topology.links import Link
 from tests.graphs import undirected
 
@@ -62,7 +62,7 @@ def worlds(draw, max_nodes=10):
     matrix = [[NO_PATH if tx == rx else
                draw(link_level if tx // 2 == rx // 2 else cross_level)
                for rx in range(n)] for tx in range(n)]
-    imap = InterferenceMap(lambda tx, rx: matrix[tx][rx], DOT11G,
+    imap = InterferenceMap(RssTable.from_matrix(matrix), DOT11G,
                            margin_db=MARGIN_DB)
     links = [Link(a, b) for a, b in itertools.permutations(range(n), 2)]
     candidates = [link for link in links if link.src // 2 == link.dst // 2]
@@ -77,10 +77,11 @@ def worlds(draw, max_nodes=10):
 # Reference: the whole-slot fold, re-run in full for every query.
 # ----------------------------------------------------------------------
 def ref_reception(imap, signal_from, at, interferers, rate):
-    signal_mw = dbm_to_mw(imap.rss_dbm(signal_from, at))
+    dbm = imap.table.dbm
+    signal_mw = dbm_to_mw(dbm[signal_from][at])
     interference_mw = imap.profile.noise_mw()
     for node in interferers:
-        interference_mw += dbm_to_mw(imap.rss_dbm(node, at))
+        interference_mw += dbm_to_mw(dbm[node][at])
     sinr_db = mw_to_dbm(signal_mw) - mw_to_dbm(interference_mw)
     return sinr_db >= imap.profile.sinr_threshold_db(rate) + imap.margin_db
 
@@ -224,7 +225,9 @@ def test_failing_base_lets_no_candidate_in():
     def rss(tx, rx):  # reciprocal channel
         return levels.get((min(tx, rx), max(tx, rx)), float("-inf"))
 
-    imap = InterferenceMap(rss, DOT11G, margin_db=MARGIN_DB)
+    table = RssTable.from_matrix([[rss(tx, rx) for rx in range(8)]
+                                  for tx in range(8)])
+    imap = InterferenceMap(table, DOT11G, margin_db=MARGIN_DB)
     base = [Link(0, 1), Link(2, 3), Link(4, 5)]
     far = Link(6, 7)
     graph = undirected([*base, far])
