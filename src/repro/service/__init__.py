@@ -30,7 +30,7 @@ from .churn import (ChurnConfig, churn_events, link_rss_wobble,
 from .events import (Associate, ControllerEvent, Disassociate, QueueUpdate,
                      RssDelta, event_from_json, event_to_json)
 from .incremental import (AppliedDelta, IncrementalController, ServiceConfig)
-from .revision import ScheduleRevision, batch_digest
+from .revision import RevisionRecord, ScheduleRevision, batch_digest
 from .scenario import Scenario, build_scenario, load_scenario
 from .service import ControllerService, OracleMismatch, ServiceStats
 from .state import NetworkState, StateDelta
@@ -40,7 +40,7 @@ __all__ = [
     "ControllerEvent", "event_to_json", "event_from_json",
     "NetworkState", "StateDelta",
     "IncrementalController", "AppliedDelta", "ServiceConfig",
-    "ScheduleRevision", "batch_digest",
+    "RevisionRecord", "ScheduleRevision", "batch_digest",
     "ControllerService", "OracleMismatch", "ServiceStats",
     "ChurnConfig", "churn_events", "link_rss_wobble", "mobility_events",
     "Scenario", "build_scenario", "load_scenario",

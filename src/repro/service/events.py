@@ -103,7 +103,7 @@ def _rss_out(mapping: Mapping[int, float]) -> Dict[str, float]:
             for node, value in sorted(mapping.items())}
 
 
-def _finite_number(value: object) -> bool:
+def finite_number(value: object) -> bool:
     """A JSON number that is finite (bool is not a number here)."""
     return (not isinstance(value, bool) and isinstance(value, (int, float))
             and math.isfinite(value))
@@ -117,7 +117,7 @@ def _rss_in(kind: object, name: str, mapping: object) -> Dict[int, float]:
         raise ValueError(f"{kind} event: {name} must be a JSON object, "
                          f"not {type(mapping).__name__}")
     for node, value in mapping.items():
-        if not _finite_number(value):
+        if not finite_number(value):
             raise ValueError(f"{kind} event: {name}[{node!r}] must be a "
                              f"finite number, not {value!r}")
     return {int(node): float(value) for node, value in mapping.items()}
@@ -155,7 +155,7 @@ def event_from_json(record: Mapping[str, object]) -> ControllerEvent:
             types, expected = (int, float), "a finite number"
         else:
             continue
-        if not isinstance(value, types) or not _finite_number(value):
+        if not isinstance(value, types) or not finite_number(value):
             raise ValueError(f"{kind} event: {name} must be {expected}, "
                              f"not {value!r}")
     if kind in ("associate", "rss_delta"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.relative_schedule import RelativeBatch
@@ -68,14 +68,18 @@ def batch_digest(batch: RelativeBatch) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True)
-class ScheduleRevision:
-    """One versioned output of the online controller."""
+@dataclass(frozen=True, slots=True)
+class RevisionRecord:
+    """What the service's history keeps of one revision: no batch.
+
+    A converted batch is read once, by whoever consumes the revision;
+    the history keeps only what its readers (``stats()``,
+    ``/statusz``) need, so its memory does not grow with the batches.
+    """
 
     version: int            # monotonically increasing, starts at 1
     epoch: int              # debounce epoch that produced it
     t_us: float             # virtual time of the epoch's last event
-    batch: RelativeBatch
     digest: str             # batch_digest(batch)
     events: int             # controller events folded into the epoch
     dirty_links: int        # dirty links when the epoch closed
@@ -90,6 +94,14 @@ class ScheduleRevision:
     @property
     def trace_digest(self) -> str:
         return self.digest[:TRACE_DIGEST_CHARS]
+
+
+@dataclass(frozen=True, slots=True)
+class ScheduleRevision(RevisionRecord):
+    """One versioned output of the online controller: the record plus
+    the batch it digests, for callbacks and subscribers."""
+
+    batch: RelativeBatch = field(kw_only=True)
 
 
 def percentiles_ms(latencies_ms: List[float]) -> Tuple[float, float]:

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from ..topology.builder import Topology, fig7_topology, random_t_topology
 from .churn import ChurnConfig, churn_events, link_rss_wobble, mobility_events
-from .events import ControllerEvent, event_from_json
+from .events import ControllerEvent, event_from_json, finite_number
 from .incremental import ServiceConfig
 from .state import NetworkState
 
@@ -88,26 +88,50 @@ def _build_config(spec: Dict[str, Any]) -> ServiceConfig:
     return config
 
 
+def _number(spec: Dict[str, Any], kind: str, name: str,
+            default: Optional[float] = None) -> float:
+    """A source's numeric field: a finite JSON number, else a one-line
+    ValueError naming the source kind and the field.  A NaN here would
+    reach event times or the RSS table, where it fails every SINR
+    comparison silently."""
+    value = spec[name] if default is None else spec.get(name, default)
+    if not finite_number(value):
+        raise ValueError(f"{kind} source: {name} must be a finite number, "
+                         f"not {value!r}")
+    return float(value)
+
+
 def _source_events(spec: Dict[str, Any], topology: Topology,
                    state: NetworkState) -> List[ControllerEvent]:
     kind = _object(spec, "source").get("kind")
     if kind == "churn":
         fields = {k: v for k, v in spec.items() if k != "kind"}
+        for name in fields:
+            _number(spec, kind, name)
         return list(churn_events(state, ChurnConfig(**fields)))
     if kind == "rss_wobble":
         return list(link_rss_wobble(
             state, client=int(spec["client"]),
             updates=int(spec["updates"]), seed=int(spec.get("seed", 0)),
-            start_us=float(spec.get("start_us", 0.0)),
-            gap_us=float(spec.get("gap_us", 500.0)),
-            jitter_db=float(spec.get("jitter_db", 1.5))))
+            start_us=_number(spec, kind, "start_us", 0.0),
+            gap_us=_number(spec, kind, "gap_us", 500.0),
+            jitter_db=_number(spec, kind, "jitter_db", 1.5)))
     if kind == "mobility":
+        node = spec["node"]
+        if (isinstance(node, bool) or not isinstance(node, int)
+                or not 0 <= node < state.n_nodes):
+            raise ValueError(f"mobility source: node must be a node id in "
+                             f"[0, {state.n_nodes}), not {node!r}")
         to = spec["to"]
+        if (not isinstance(to, list) or len(to) != 2
+                or not all(finite_number(v) for v in to)):
+            raise ValueError("mobility source: to must be two finite "
+                             f"numbers [x, y], not {to!r}")
         return list(mobility_events(
-            topology.trace, node=int(spec["node"]),
+            topology.trace, node=node,
             to_pos=(float(to[0]), float(to[1])), steps=int(spec["steps"]),
-            interval_us=float(spec["interval_us"]),
-            start_us=float(spec.get("start_us", 0.0)),
+            interval_us=_number(spec, kind, "interval_us"),
+            start_us=_number(spec, kind, "start_us", 0.0),
             seed=int(spec.get("seed", 0))))
     if kind == "events":
         return [event_from_json(_object(raw, "event"))

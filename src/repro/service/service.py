@@ -21,19 +21,24 @@ machinery, not service work.
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence)
 
 from .. import telemetry
 from ..telemetry.ops import FlightRecorder, SloTracker
 from ..telemetry.wallclock import perf_counter
 from .events import ControllerEvent
 from .incremental import IncrementalController
-from .revision import ScheduleRevision, percentiles_ms
+from .revision import RevisionRecord, ScheduleRevision, percentiles_ms
 
-#: How many recent revisions a service keeps (the digest history is
-#: what tests and the CLI want, not every batch ever).
+#: How many recent revisions a service keeps.  The history holds
+#: batch-free :class:`RevisionRecord` objects (version, digest,
+#: counters, phases): a batch lives only as long as a callback or
+#: subscriber holds its :class:`ScheduleRevision`, so the history's
+#: memory does not grow with the revisions the service has made.
 KEEP_REVISIONS = 1024
 
 
@@ -110,8 +115,10 @@ class ControllerService:
         self._oracle_failed = False
         self._last_event_id: Optional[int] = None
         self.latencies_ms: List[float] = []
-        #: Most recent revisions, at most ``KEEP_REVISIONS``.
-        self.revisions: List[ScheduleRevision] = []
+        #: Records of the most recent revisions, at most
+        #: ``KEEP_REVISIONS``; none holds a batch.
+        self.revisions: Deque[RevisionRecord] = collections.deque(
+            maxlen=KEEP_REVISIONS)
 
     # ------------------------------------------------------------------
     # Epoch processing (shared by both drivers)
@@ -138,9 +145,10 @@ class ControllerService:
         self._events_seen += applied.events
         self._ignored += applied.state.ignored_events
         self.latencies_ms.append(latency_ms)
-        self.revisions.append(revision)
-        if len(self.revisions) > KEEP_REVISIONS:
-            del self.revisions[0]
+        self.revisions.append(RevisionRecord(
+            revision.version, revision.epoch, revision.t_us,
+            revision.digest, revision.events, revision.dirty_links,
+            revision.cache_hit, revision.full, latency_ms, revision.phases))
 
         # The trace records are written *before* the oracle verdict so
         # a flight-recorder dump triggered by a mismatch ends with the

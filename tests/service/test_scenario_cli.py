@@ -168,13 +168,37 @@ class TestCli:
             {"kind": "events", "events": [
                 {"kind": "rss_delta", "t_us": 0.0, "node": 1,
                  "rss_to": {"0": "-50"}}]}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "mobility", "node": 999, "to": [10.0, 10.0],
+             "steps": 2, "interval_us": 1000.0}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "mobility", "node": -1, "to": [10.0, 10.0],
+             "steps": 2, "interval_us": 1000.0}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "mobility", "node": 1, "to": [1.0],
+             "steps": 2, "interval_us": 1000.0}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "mobility", "node": 1, "to": [float("nan"), 10.0],
+             "steps": 2, "interval_us": 1000.0}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "rss_wobble", "client": 1, "updates": 2,
+             "jitter_db": float("nan")}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "churn", "updates": 50,
+             "rss_jitter_db": float("nan")}]},
     ], ids=["unknown-kind", "list", "topology-list", "source-int",
             "event-node-str", "event-backlog-str", "event-rss-list",
             "event-backlog-inf", "event-rss-nan", "event-rss-inf",
-            "event-rss-str"])
+            "event-rss-str", "mobility-node-oob", "mobility-node-neg",
+            "mobility-to-short", "mobility-to-nan", "wobble-jitter-nan",
+            "churn-jitter-nan"])
     def test_invalid_scenario_exits_2(self, tmp_path, capsys, scenario):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))
         assert main(["--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if isinstance(scenario, dict) and scenario.get("sources"):
+            source = scenario["sources"][0]
+            if isinstance(source, dict) and source["kind"] != "events":
+                assert f"{source['kind']} source: " in err
