@@ -70,8 +70,8 @@ MAX_OVERHEAD_PCT = 3.0
 #: The call counts were recorded on Python 3.11.
 PINNED = {
     10_000: {"events": 10440, "incremental_hit_rate": 0.2032,
-             "conflict_checks": 98638, "replay_calls": 3858351,
-             "instrumented_calls": 3877955},
+             "conflict_checks": 98638, "replay_calls": 1681226,
+             "instrumented_calls": 1700830},
 }
 
 # Churn at a 40 us mean gap spans UPDATES * 40 us of virtual time;

@@ -48,8 +48,8 @@ REPEATS = 3                       # interleaved base/enabled pairs
 #: were recorded on Python 3.11.
 PINNED = {
     "trace_events_emitted": 23180,
-    "base_calls": 1330488,
-    "enabled_calls": 1438541,
+    "base_calls": 1278405,
+    "enabled_calls": 1386458,
     "domino_mbps": 27.8118,
     "critical_makespan_p50_ms": 23.6481,
     "critical_makespan_p95_ms": 71.6192,

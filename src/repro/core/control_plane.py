@@ -96,13 +96,15 @@ class ControlPlane:
         column).  A ``node`` outside the table writes nothing; entries
         naming ``node`` itself or a node outside the table are
         skipped.  Trigger verdicts are read from the dBm rows, so they
-        follow.  Call :meth:`update` with ``node`` among the dirty
-        nodes before the next batch.
+        follow, and the map's trigger rankings are dropped.  Call
+        :meth:`update` with ``node`` among the dirty nodes before the
+        next batch.
         """
         table = self.table
         n = len(table.dbm)
         if not 0 <= node < n:
             return
+        self.imap.drop_trigger_ranks()
         for other, value in rss_to.items():
             if other != node and 0 <= other < n:
                 _store(table, node, other, float(value))

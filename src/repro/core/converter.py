@@ -431,28 +431,15 @@ class ScheduleConverter:
         candidates = prev.participants()
         inbound: Dict[Link, List[int]] = {e.link: [] for e in nxt.entries}
         max_outbound = self.config.max_outbound
-        dbm = self.imap.table.dbm
-        can_trigger = self.imap.node_can_trigger
-        # target -> the other candidates that can trigger it, by
-        # (-rss, node): strongest first, the lowest id on a tie.
-        ranked: Dict[int, List[int]] = {}
-
-        def ranking(target: int) -> List[int]:
-            order = ranked.get(target)
-            if order is None:
-                order = sorted(
-                    (node for node in candidates
-                     if node != target and can_trigger(node, target)),
-                    key=lambda node: (-dbm[node][target], node))
-                ranked[target] = order
-            return order
+        trigger_rank = self.imap.trigger_rank
+        prev_index = prev.index
 
         def try_assign(entry: SlotEntry, foreign_only: bool = False) -> bool:
             """Pick one more trigger node for ``entry``.
 
             The target itself when eligible (it was active in the
             previous slot and needs no over-the-air wake-up; costs no
-            outbound budget), else the first eligible node of its
+            outbound budget), else the first eligible candidate of its
             ranking.  ``foreign_only`` restricts the choice to nodes
             outside the link's own endpoints: a backup trigger drawn
             from a *different* chain is what couples chains together
@@ -462,26 +449,26 @@ class ScheduleConverter:
             link = entry.link
             target = link.src
             taken = inbound[link]
-
-            def eligible(node: int) -> bool:
-                if node in taken:
-                    return False
-                if foreign_only and (node == link.src or node == link.dst):
-                    return False
-                duty = duties.get((node, prev.index))
-                return duty is None or duty.outbound < max_outbound
-
-            if target in candidates and eligible(target):
-                taken.append(target)
-                return True
-            for node in ranking(target):
-                if eligible(node):
-                    taken.append(node)
-                    duty = duties.setdefault(
-                        (node, prev.index),
-                        _DutyBuilder(node=node, slot=prev.index))
-                    duty.targets.add(target)
+            if (not foreign_only and target in candidates
+                    and target not in taken):
+                duty = duties.get((target, prev_index))
+                if duty is None or duty.outbound < max_outbound:
+                    taken.append(target)
                     return True
+            # The ranking never holds the target itself.
+            own = link.dst if foreign_only else None
+            for node in trigger_rank(target):
+                if node not in candidates or node in taken or node == own:
+                    continue
+                duty = duties.get((node, prev_index))
+                if duty is None:
+                    duty = duties[(node, prev_index)] = _DutyBuilder(
+                        node=node, slot=prev_index)
+                elif duty.outbound >= max_outbound:
+                    continue
+                taken.append(node)
+                duty.targets.add(target)
+                return True
             return False
 
         # First pass: one trigger per next-slot link; second pass: a
@@ -534,37 +521,28 @@ class ScheduleConverter:
                 return False
             return not self.imap.in_cs_range(ap_a, ap_b)
 
+        # An AP that no slot can trigger polls in a later batch (its
+        # stale queue picture self-corrects).
         for ap in rop_aps:
-            placed = False
             for pos in range(len(slots) - 1):
                 slot = slots[pos]
-                trigger_node = self._rop_trigger_node(slot, ap, duties)
-                if pos in polls_after:
-                    # An ROP slot already sits here: share if compatible.
-                    if all(can_share(ap, other)
-                           for other in polls_after[pos]):
-                        if trigger_node is None:
-                            continue
-                        self._add_rop_duty(trigger_node, slot, ap, duties)
-                        polls_after[pos].append(ap)
-                        slot.rop_after.append(ap)
-                        batch.rop_polls.setdefault(slot.index, []).append(ap)
-                        placed = True
-                        break
+                sharing = polls_after.get(pos)
+                # An ROP slot already sits here: share if compatible.
+                if sharing is not None and not all(
+                        can_share(ap, other) for other in sharing):
                     continue
+                trigger_node = self._rop_trigger_node(slot, ap, duties)
                 if trigger_node is None:
                     continue
                 self._add_rop_duty(trigger_node, slot, ap, duties)
-                polls_after[pos] = [ap]
                 slot.rop_after.append(ap)
                 batch.rop_polls.setdefault(slot.index, []).append(ap)
-                self._flag_rop(slot, duties)
-                placed = True
+                if sharing is not None:
+                    sharing.append(ap)
+                else:
+                    polls_after[pos] = [ap]
+                    self._flag_rop(slot, duties)
                 break
-            if not placed:
-                # No slot can trigger this AP this batch; it polls in a
-                # later batch (its stale queue picture self-corrects).
-                continue
 
     def _rop_trigger_node(self, slot: RelativeSlot, ap: int,
                           duties: Dict[Tuple[int, int], _DutyBuilder]
@@ -573,20 +551,14 @@ class ScheduleConverter:
         participants = slot.participants()
         if ap in participants:
             return ap  # the AP is active in the slot: self-timed poll
-        dbm = self.imap.table.dbm
-        best: Optional[int] = None
-        best_rss = float("-inf")
-        for node in sorted(participants):
+        max_outbound = self.config.max_outbound
+        for node in self.imap.trigger_rank(ap):
+            if node not in participants:
+                continue
             duty = duties.get((node, slot.index))
-            if duty is not None and duty.outbound >= self.config.max_outbound:
-                continue
-            if not self.imap.node_can_trigger(node, ap):
-                continue
-            rss = dbm[node][ap]
-            if rss > best_rss:
-                best = node
-                best_rss = rss
-        return best
+            if duty is None or duty.outbound < max_outbound:
+                return node
+        return None
 
     def _add_rop_duty(self, trigger_node: int, slot: RelativeSlot, ap: int,
                       duties: Dict[Tuple[int, int], _DutyBuilder]) -> None:

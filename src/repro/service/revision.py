@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..core.relative_schedule import RelativeBatch
 from ..telemetry.metrics import percentile
@@ -104,7 +104,7 @@ class ScheduleRevision(RevisionRecord):
     batch: RelativeBatch = field(kw_only=True)
 
 
-def percentiles_ms(latencies_ms: List[float]) -> Tuple[float, float]:
+def percentiles_ms(latencies_ms: Iterable[float]) -> Tuple[float, float]:
     """(p50, p99) by nearest-rank, matching the metrics histogram."""
     ordered = sorted(latencies_ms)
     return (percentile(ordered, 50.0), percentile(ordered, 99.0))

@@ -61,15 +61,30 @@ def _object(value: Any, what: str) -> Dict[str, Any]:
     return value
 
 
+def _integer(spec: Dict[str, Any], what: str, name: str,
+             default: Optional[int] = None) -> int:
+    """An integer field of ``what`` (a topology, the config or a
+    source): a JSON integer, else a one-line ValueError naming both.
+    A float, string or bool is refused rather than truncated or
+    coerced (``"steps": 2.9`` would walk 2 steps, ``"seed": true``
+    would be seed 1)."""
+    value = spec[name] if default is None else spec.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what}: {name} must be an integer, "
+                         f"not {value!r}")
+    return value
+
+
 def _build_topology(spec: Dict[str, Any]) -> Topology:
     kind = _object(spec, "topology").get("kind")
     if kind == "fig7":
         return fig7_topology(uplinks=bool(spec.get("uplinks", False)))
     if kind == "random_t":
+        what = "random_t topology"
         return random_t_topology(
-            m=int(spec["m"]), n=int(spec["n"]),
+            m=_integer(spec, what, "m"), n=_integer(spec, what, "n"),
             area_m=float(spec.get("area_m", 800.0)),
-            seed=int(spec.get("seed", 0)),
+            seed=_integer(spec, what, "seed", 0),
             tx_power_dbm=float(spec.get("tx_power_dbm", 20.0)),
             max_client_range_m=float(spec.get("max_client_range_m", 40.0)))
     raise ValueError(f"unknown topology kind: {kind!r}")
@@ -80,7 +95,7 @@ def _build_config(spec: Dict[str, Any]) -> ServiceConfig:
     spec = _object(spec, "config")
     for key in ("batch_slots", "demand_cap", "debounce_events"):
         if key in spec:
-            setattr(config, key, int(spec[key]))
+            setattr(config, key, _integer(spec, "config", key))
     if "epoch_gap_us" in spec:
         config.epoch_gap_us = float(spec["epoch_gap_us"])
     if "poll_every_batch" in spec:
@@ -101,18 +116,27 @@ def _number(spec: Dict[str, Any], kind: str, name: str,
     return float(value)
 
 
+#: The churn source's integer fields (the others are floats).
+_CHURN_INTEGERS = ("updates", "seed", "max_backlog")
+
+
 def _source_events(spec: Dict[str, Any], topology: Topology,
                    state: NetworkState) -> List[ControllerEvent]:
     kind = _object(spec, "source").get("kind")
+    what = f"{kind} source"
     if kind == "churn":
         fields = {k: v for k, v in spec.items() if k != "kind"}
         for name in fields:
-            _number(spec, kind, name)
+            if name in _CHURN_INTEGERS:
+                _integer(spec, what, name)
+            else:
+                _number(spec, kind, name)
         return list(churn_events(state, ChurnConfig(**fields)))
     if kind == "rss_wobble":
         return list(link_rss_wobble(
-            state, client=int(spec["client"]),
-            updates=int(spec["updates"]), seed=int(spec.get("seed", 0)),
+            state, client=_integer(spec, what, "client"),
+            updates=_integer(spec, what, "updates"),
+            seed=_integer(spec, what, "seed", 0),
             start_us=_number(spec, kind, "start_us", 0.0),
             gap_us=_number(spec, kind, "gap_us", 500.0),
             jitter_db=_number(spec, kind, "jitter_db", 1.5)))
@@ -129,10 +153,11 @@ def _source_events(spec: Dict[str, Any], topology: Topology,
                              f"numbers [x, y], not {to!r}")
         return list(mobility_events(
             topology.trace, node=node,
-            to_pos=(float(to[0]), float(to[1])), steps=int(spec["steps"]),
+            to_pos=(float(to[0]), float(to[1])),
+            steps=_integer(spec, what, "steps"),
             interval_us=_number(spec, kind, "interval_us"),
             start_us=_number(spec, kind, "start_us", 0.0),
-            seed=int(spec.get("seed", 0))))
+            seed=_integer(spec, what, "seed", 0)))
     if kind == "events":
         return [event_from_json(_object(raw, "event"))
                 for raw in spec["events"]]

@@ -38,7 +38,8 @@ from .revision import RevisionRecord, ScheduleRevision, percentiles_ms
 #: batch-free :class:`RevisionRecord` objects (version, digest,
 #: counters, phases): a batch lives only as long as a callback or
 #: subscriber holds its :class:`ScheduleRevision`, so the history's
-#: memory does not grow with the revisions the service has made.
+#: memory does not grow with the revisions the service has made.  The
+#: latency window behind ``stats()``'s p50/p99 has the same length.
 KEEP_REVISIONS = 1024
 
 
@@ -114,7 +115,13 @@ class ControllerService:
         self._oracle_checks = 0
         self._oracle_failed = False
         self._last_event_id: Optional[int] = None
-        self.latencies_ms: List[float] = []
+        #: Latencies of the most recent revisions, at most
+        #: ``KEEP_REVISIONS``; ``stats()`` takes p50/p99 over them.
+        self.latencies_ms: Deque[float] = collections.deque(
+            maxlen=KEEP_REVISIONS)
+        #: Every revision's count and latency sum, for the exact mean.
+        self._revision_count = 0
+        self._latency_sum_ms = 0.0
         #: Records of the most recent revisions, at most
         #: ``KEEP_REVISIONS``; none holds a batch.
         self.revisions: Deque[RevisionRecord] = collections.deque(
@@ -145,6 +152,8 @@ class ControllerService:
         self._events_seen += applied.events
         self._ignored += applied.state.ignored_events
         self.latencies_ms.append(latency_ms)
+        self._revision_count += 1
+        self._latency_sum_ms += latency_ms
         self.revisions.append(RevisionRecord(
             revision.version, revision.epoch, revision.t_us,
             revision.digest, revision.events, revision.dirty_links,
@@ -282,7 +291,7 @@ class ControllerService:
             "queue_depth": self._inbox.qsize(),
             "events": self._events_seen,
             "ignored_events": self._ignored,
-            "revisions": len(self.latencies_ms),
+            "revisions": self._revision_count,
             "oracle_checks": self._oracle_checks,
             "oracle_failed": self._oracle_failed,
             "conflict_checks": engine.conflict_checks,
@@ -342,11 +351,15 @@ class ControllerService:
     # Summary
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
+        """The run so far.  ``revisions`` counts every revision and
+        the mean latency is over all of them; p50 and p99 are over
+        the last ``KEEP_REVISIONS`` revisions only, so the service's
+        memory does not grow with its age."""
         p50, p99 = percentiles_ms(self.latencies_ms)
-        mean = (sum(self.latencies_ms) / len(self.latencies_ms)
-                if self.latencies_ms else 0.0)
+        count = self._revision_count
+        mean = self._latency_sum_ms / count if count else 0.0
         return ServiceStats(
-            revisions=len(self.latencies_ms),
+            revisions=count,
             epochs=self._epoch,
             events=self._events_seen,
             ignored_events=self._ignored,

@@ -10,7 +10,8 @@ converter and analysis need:
   a time (``slot`` / ``SlotSurvival``, and ``set_survives`` on top)?
 * can two links be active in the same slot (``conflicts``, which is
   exactly the two-link slot)?
-* can a node's signature trigger another node (``node_can_trigger``)?
+* can a node's signature trigger another node (``node_can_trigger``),
+  and which nodes can, strongest first (``trigger_rank``)?
 * which link pairs are *hidden* or *exposed* — the counts reported in
   Sec. 4.2.3 ("10 hidden link pairs and 62 exposed link pairs out of
   720 possible link pairs").
@@ -35,6 +36,10 @@ import numpy as np
 from ..sim.phy import (SIGNATURE_CORRELATION_GAIN_DB, PhyProfile, dbm_to_mw,
                        mw_to_dbm)
 from .links import Link
+
+#: Relative half-width of the band around a reception's interference
+#: cap inside which :class:`SlotSurvival` falls back to the dB test.
+GUARD_BAND = 1e-9
 
 
 class RssTable:
@@ -70,6 +75,11 @@ class RssTable:
 class InterferenceMap:
     """The central server's view of an :class:`RssTable`.
 
+    Verdicts are read from the table on every query, except the
+    trigger rankings (:meth:`trigger_rank`), which are kept per target
+    until the table's writer drops them with
+    :meth:`drop_trigger_ranks`.
+
     Parameters
     ----------
     table:
@@ -98,6 +108,19 @@ class InterferenceMap:
         self.trigger_min_snr_db = (
             profile.sinr_threshold_db(profile.basic_rate_mbps)
             - SIGNATURE_CORRELATION_GAIN_DB + 6.0)
+        #: What :class:`SlotSurvival` reads: the noise floor, the data
+        #: and ACK thresholds in dB, and per threshold the factors that
+        #: turn a signal's mW into the lower and upper edge of its
+        #: interference band (``1 -+ GUARD_BAND`` around
+        #: ``S / dbm_to_mw(min_db)``).
+        self.fold_constants = (
+            self.noise_mw, self.data_min_db, self.ack_min_db,
+            (1.0 - GUARD_BAND) / dbm_to_mw(self.data_min_db),
+            (1.0 + GUARD_BAND) / dbm_to_mw(self.data_min_db),
+            (1.0 - GUARD_BAND) / dbm_to_mw(self.ack_min_db),
+            (1.0 + GUARD_BAND) / dbm_to_mw(self.ack_min_db))
+        #: target -> :meth:`trigger_rank`, built on first use.
+        self._trigger_ranks: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
     # Carrier sense and conflicts
@@ -157,6 +180,34 @@ class InterferenceMap:
         return (self.table.dbm[src][target] - self.profile.noise_dbm
                 >= self.trigger_min_snr_db)
 
+    def trigger_rank(self, target: int) -> List[int]:
+        """Every other node whose signature ``target`` detects, by
+        ``(-dBm, node)``: strongest first, the lowest id on a tie.
+
+        The converter walks this list, skipping nodes that are not in
+        the slot, so the first node it keeps is the strongest eligible
+        trigger.  Each ranking is built from the dBm rows on first use
+        and kept until :meth:`drop_trigger_ranks`, which the table's
+        writer (:meth:`repro.core.control_plane.ControlPlane.write_rss`)
+        calls on every write.
+        """
+        rank = self._trigger_ranks.get(target)
+        if rank is None:
+            # node_can_trigger(node, target), written out per row.
+            noise_dbm = self.profile.noise_dbm
+            min_snr_db = self.trigger_min_snr_db
+            keyed = [(-row[target], node)
+                     for node, row in enumerate(self.table.dbm)
+                     if node != target and row[target] - noise_dbm >= min_snr_db]
+            keyed.sort()
+            rank = [node for _, node in keyed]
+            self._trigger_ranks[target] = rank
+        return rank
+
+    def drop_trigger_ranks(self) -> None:
+        """Forget every :meth:`trigger_rank`: the dBm rows changed."""
+        self._trigger_ranks.clear()
+
     # ------------------------------------------------------------------
     # Hidden / exposed census (Sec. 4.2.3)
     # ------------------------------------------------------------------
@@ -199,35 +250,54 @@ class SlotSurvival:
     whole-slot fold over the slot's list, so every verdict equals
     ``set_survives([*links, cand])``.  Testing a candidate against
     ``k`` accepted links reads ``4k`` mW entries of the map's
-    :class:`RssTable` instead of re-folding ``2(k+1)^2``.  Nothing is
-    kept beyond the slot's own sums.  This is the map's only SINR fold:
-    the pairwise ``conflicts`` is a two-link slot.
+    :class:`RssTable` instead of re-folding ``2(k+1)^2``.  This is the
+    map's only SINR fold: the pairwise ``conflicts`` is a two-link
+    slot.
+
+    The verdict is defined in dB, ``mw_to_dbm(S) - mw_to_dbm(I) >=
+    min_db``, but tested in mW.  Each reception carries the band
+    ``S / dbm_to_mw(min_db) * (1 -+ 1e-9)`` (the map's
+    ``fold_constants``): an interference sum at or below the band
+    passes and one above it fails with no logarithm taken; only a sum
+    inside the band, a zero signal or a NaN takes the dB test itself.
+    The band is about 4e-9 dB wide on each side, far wider than the
+    float error of either test (about 1e-13 dB), so outside it both
+    agree and every verdict is the dB one bit for bit.  :meth:`fits`
+    builds nothing and :meth:`try_add` updates the sums in place.
     """
 
-    __slots__ = ("links", "_mw", "_nodes", "_noise_mw",
-                 "_data_min_db", "_ack_min_db", "_recv")
+    __slots__ = ("links", "_mw", "_nodes", "_constants", "_recv")
 
     def __init__(self, imap: InterferenceMap):
         #: Accepted links, in acceptance order.
         self.links: List[Link] = []
         self._mw = imap.table.mw
         self._nodes: Set[int] = set()
-        self._noise_mw = imap.noise_mw
-        self._data_min_db = imap.data_min_db
-        self._ack_min_db = imap.ack_min_db
-        #: Per accepted link: (src, dst, data signal dBm, data
-        #: interference mW, ACK signal dBm, ACK interference mW).
-        self._recv: List[Tuple[int, int, float, float, float, float]] = []
+        self._constants = imap.fold_constants
+        #: Per accepted link: [src, dst, data interference mW, data
+        #: pass-below mW, data fail-above mW, ACK interference mW, ACK
+        #: pass-below, ACK fail-above, data signal mW, ACK signal mW].
+        self._recv: List[list] = []
 
     def try_add(self, link: Link) -> bool:
         """Accept ``link`` iff the slot plus ``link`` still survives.
 
         A rejected link leaves the slot untouched.
         """
-        recv = self._fold(link)
-        if recv is None:
+        sums = self._fold(link)
+        if sums is None:
             return False
-        self._recv = recv
+        src, dst = link
+        mw = self._mw
+        from_src, from_dst = mw[src], mw[dst]
+        for entry in self._recv:
+            entry[2] += from_src[entry[1]]
+            entry[5] += from_dst[entry[0]]
+        (_, _, _, data_lo, data_hi, ack_lo, ack_hi) = self._constants
+        data_mw, ack_mw = from_src[dst], from_dst[src]
+        self._recv.append([src, dst, sums[0], data_mw * data_lo,
+                           data_mw * data_hi, sums[1], ack_mw * ack_lo,
+                           ack_mw * ack_hi, data_mw, ack_mw])
         self.links.append(link)
         self._nodes.update(link)
         return True
@@ -237,34 +307,45 @@ class SlotSurvival:
         it is, so one slot can test many candidates."""
         return self._fold(link) is not None
 
-    def _fold(self, link: Link
-              ) -> Optional[List[Tuple[int, int, float, float, float, float]]]:
-        """The accepted links' sums with ``link`` added, plus its own
-        entry; ``None`` when some reception would fail."""
+    def _fold(self, link: Link) -> Optional[Tuple[float, float]]:
+        """``link``'s own data and ACK interference sums in this slot;
+        ``None`` when some reception would fail with ``link`` added."""
         src, dst = link
         if src in self._nodes or dst in self._nodes:
             return None
         mw = self._mw
         from_src, from_dst = mw[src], mw[dst]
-        data_min, ack_min = self._data_min_db, self._ack_min_db
-        data_mw = ack_mw = self._noise_mw
-        recv = []
-        for o_src, o_dst, o_data_db, o_data_mw, o_ack_db, o_ack_mw in self._recv:
+        (noise, data_min, ack_min, data_lo, data_hi, ack_lo,
+         ack_hi) = self._constants
+        data_mw = ack_mw = noise
+        for (o_src, o_dst, o_data, o_data_lo, o_data_hi, o_ack, o_ack_lo,
+             o_ack_hi, o_data_s, o_ack_s) in self._recv:
             data_mw += mw[o_src][dst]
             ack_mw += mw[o_dst][src]
-            o_data_mw += from_src[o_dst]
-            if not o_data_db - mw_to_dbm(o_data_mw) >= data_min:
+            o_data += from_src[o_dst]
+            if not o_data <= o_data_lo and _fails(o_data, o_data_hi,
+                                                  o_data_s, data_min):
                 return None
-            o_ack_mw += from_dst[o_src]
-            if not o_ack_db - mw_to_dbm(o_ack_mw) >= ack_min:
+            o_ack += from_dst[o_src]
+            if not o_ack <= o_ack_lo and _fails(o_ack, o_ack_hi, o_ack_s,
+                                                ack_min):
                 return None
-            recv.append((o_src, o_dst, o_data_db, o_data_mw, o_ack_db,
-                         o_ack_mw))
-        data_db = mw_to_dbm(from_src[dst])
-        if not data_db - mw_to_dbm(data_mw) >= data_min:
+        signal = from_src[dst]
+        if not data_mw <= signal * data_lo and _fails(
+                data_mw, signal * data_hi, signal, data_min):
             return None
-        ack_db = mw_to_dbm(from_dst[src])
-        if not ack_db - mw_to_dbm(ack_mw) >= ack_min:
+        signal = from_dst[src]
+        if not ack_mw <= signal * ack_lo and _fails(
+                ack_mw, signal * ack_hi, signal, ack_min):
             return None
-        recv.append((src, dst, data_db, data_mw, ack_db, ack_mw))
-        return recv
+        return data_mw, ack_mw
+
+
+def _fails(interference_mw: float, fail_above_mw: float, signal_mw: float,
+           min_db: float) -> bool:
+    """The verdict on a sum that is not below its reception's band: it
+    fails above the band; inside it, and for a 0 mW signal (whose band
+    is empty), the dB test decides."""
+    if interference_mw > fail_above_mw and signal_mw != 0.0:
+        return True
+    return not mw_to_dbm(signal_mw) - mw_to_dbm(interference_mw) >= min_db

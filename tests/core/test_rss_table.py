@@ -6,7 +6,9 @@ a plane beside a numpy reference matrix written the way the matrix
 used to be, and checks every row, and the SINR verdicts read from
 them, after every write.  The second pins the converter's ranked
 trigger choice to the linear scan it replaced, on inputs full of RSS
-ties, foreign-only passes and exhausted outbound budgets.
+ties, foreign-only passes and exhausted outbound budgets.  The third
+interleaves writes with trigger choices on one plane, so a ranking
+kept across a write that moved it would show.
 """
 
 import copy
@@ -181,6 +183,26 @@ def matching(draw, nodes):
     return [Link(order[2 * i], order[2 * i + 1]) for i in range(size)]
 
 
+def slot_pair(draw, n, config):
+    """``prev`` and ``nxt`` over ``n`` nodes, and the outbound budgets
+    already spent in ``prev``, some of them exhausted."""
+    prev = RelativeSlot(index=4, entries=[
+        SlotEntry(link=link, fake=draw(st.booleans()))
+        for link in matching(draw, list(range(n)))])
+    nxt = RelativeSlot(index=5, entries=[
+        SlotEntry(link=link, fake=draw(st.booleans()))
+        for link in matching(draw, list(range(n)))])
+    duties = {}
+    for node in sorted(prev.participants()):
+        spent = draw(st.integers(min_value=0,
+                                 max_value=config.max_outbound))
+        if spent:
+            duties[(node, prev.index)] = _DutyBuilder(
+                node=node, slot=prev.index,
+                targets=set(range(100, 100 + spent)))
+    return prev, nxt, duties
+
+
 @st.composite
 def trigger_cases(draw):
     n = draw(st.integers(min_value=4, max_value=9))
@@ -192,22 +214,7 @@ def trigger_cases(draw):
     config = ConverterConfig(
         max_inbound=draw(st.integers(min_value=1, max_value=3)),
         max_outbound=draw(st.integers(min_value=1, max_value=3)))
-    prev = RelativeSlot(index=4, entries=[
-        SlotEntry(link=link, fake=draw(st.booleans()))
-        for link in matching(draw, list(range(n)))])
-    nxt = RelativeSlot(index=5, entries=[
-        SlotEntry(link=link, fake=draw(st.booleans()))
-        for link in matching(draw, list(range(n)))])
-    # Budgets already spent in ``prev``, some of them exhausted.
-    duties = {}
-    for node in sorted(prev.participants()):
-        spent = draw(st.integers(min_value=0,
-                                 max_value=config.max_outbound))
-        if spent:
-            duties[(node, prev.index)] = _DutyBuilder(
-                node=node, slot=prev.index,
-                targets=set(range(100, 100 + spent)))
-    return matrix, config, prev, nxt, duties
+    return (matrix, config) + slot_pair(draw, n, config)
 
 
 def run_assign(assign, prev, nxt, duties):
@@ -232,3 +239,74 @@ def test_ranked_triggers_match_the_linear_scan(case):
 
     assert run_assign(converter._assign_triggers, prev, nxt, duties) == \
         run_assign(reference, prev, nxt, duties)
+
+
+# ----------------------------------------------------------------------
+# Rankings across writes: the map's kept rankings against the scans
+# ----------------------------------------------------------------------
+def ref_rop_trigger_node(imap, config, slot, ap, duties):
+    """The linear scan ``_rop_trigger_node`` replaced."""
+    participants = slot.participants()
+    if ap in participants:
+        return ap
+    best = None
+    best_rss = float("-inf")
+    for node in sorted(participants):
+        duty = duties.get((node, slot.index))
+        if duty is not None and duty.outbound >= config.max_outbound:
+            continue
+        if not imap.node_can_trigger(node, ap):
+            continue
+        rss = imap.table.dbm[node][ap]
+        if rss > best_rss:
+            best = node
+            best_rss = rss
+    return best
+
+
+@st.composite
+def interleavings(draw):
+    """A plane's matrix and config, then writes and trigger queries
+    in turn, every write followed by queries."""
+    matrix, config, _, _, _ = draw(trigger_cases())
+    n = len(matrix)
+    level = st.sampled_from([NO_PATH, -110.0, -100.0, -80.0, -60.0])
+    entries = st.dictionaries(st.integers(min_value=0, max_value=n - 1),
+                              level, max_size=n)
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        steps.append(("write", draw(st.integers(min_value=0,
+                                                max_value=n - 1)),
+                      draw(entries), draw(entries)))
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            prev, nxt, duties = slot_pair(draw, n, config)
+            ap = draw(st.integers(min_value=0, max_value=n - 1))
+            steps.append(("query", prev, nxt, duties, ap))
+    return matrix, config, steps
+
+
+@settings(deadline=None, max_examples=300)
+@given(interleavings())
+def test_rankings_follow_every_write(case):
+    matrix, config, steps = case
+    n = len(matrix)
+    plane = ControlPlane(RssTable.from_matrix(matrix), DOT11G,
+                         [Link(0, 1)], config, batch_slots=2, demand_cap=1)
+    imap, converter = plane.imap, plane.converter
+
+    def reference(*args):
+        ref_assign_triggers(imap, config, *args)
+
+    # Rankings built before the first write must not survive it.
+    for target in range(n):
+        imap.trigger_rank(target)
+    for step in steps:
+        if step[0] == "write":
+            plane.write_rss(*step[1:])
+            continue
+        _, prev, nxt, duties, ap = step
+        assert run_assign(converter._assign_triggers, prev, nxt, duties) \
+            == run_assign(reference, prev, nxt, duties)
+        for slot in (prev, nxt):
+            assert converter._rop_trigger_node(slot, ap, duties) == \
+                ref_rop_trigger_node(imap, config, slot, ap, duties)

@@ -17,6 +17,7 @@ from repro.service import (ControllerService, IncrementalController,
                            NetworkState, RevisionRecord, ScheduleRevision,
                            ServiceConfig, link_rss_wobble)
 from repro.service import service as service_module
+from repro.service.revision import percentiles_ms
 from repro.topology.builder import fig7_topology
 
 KEEP = 4
@@ -64,3 +65,28 @@ def test_record_and_revision_share_one_field_list():
     record_fields = [f.name for f in dataclasses.fields(RevisionRecord)]
     revision_fields = [f.name for f in dataclasses.fields(ScheduleRevision)]
     assert revision_fields == record_fields + ["batch"]
+
+
+def test_latency_window_is_bounded_and_the_mean_exact(monkeypatch):
+    """p50/p99 come from the last ``KEEP_REVISIONS`` latencies; the
+    revision count and the mean cover every revision."""
+    monkeypatch.setattr(service_module, "KEEP_REVISIONS", KEEP)
+    topology = fig7_topology()
+    events = link_rss_wobble(NetworkState.from_topology(topology),
+                             client=1, updates=EPOCHS, gap_us=GAP_US)
+    service = ControllerService(IncrementalController(
+        NetworkState.from_topology(topology), ServiceConfig()))
+    latencies = []
+    service.on_revision(lambda revision: latencies.append(
+        revision.latency_ms))
+    stats = service.run_events(events)
+
+    assert stats.revisions == EPOCHS == len(latencies)
+    assert service.status()["revisions"] == EPOCHS
+    assert list(service.latencies_ms) == latencies[-KEEP:]
+    total = 0.0
+    for latency in latencies:
+        total += latency
+    assert stats.revision_mean_ms == total / EPOCHS
+    assert (stats.revision_p50_ms, stats.revision_p99_ms) == \
+        percentiles_ms(latencies[-KEEP:])

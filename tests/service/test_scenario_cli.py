@@ -51,6 +51,27 @@ class TestScenarioBuilding:
             build_scenario({"topology": {"kind": "fig7"},
                             "sources": [{"kind": "quantum"}]})
 
+    @pytest.mark.parametrize("data, message", [
+        ({"topology": {"kind": "random_t", "m": 2, "n": 2.0}},
+         "random_t topology: n must be an integer, not 2.0"),
+        ({"topology": {"kind": "fig7"}, "config": {"batch_slots": True}},
+         "config: batch_slots must be an integer, not True"),
+        ({"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "mobility", "node": 1, "to": [1.0, 1.0],
+             "steps": 2.9, "interval_us": 1.0}]},
+         "mobility source: steps must be an integer, not 2.9"),
+        ({"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "rss_wobble", "client": 1, "updates": "5"}]},
+         "rss_wobble source: updates must be an integer, not '5'"),
+        ({"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "churn", "updates": 5, "seed": True}]},
+         "churn source: seed must be an integer, not True"),
+    ])
+    def test_integer_fields_are_not_coerced(self, data, message):
+        with pytest.raises(ValueError) as excinfo:
+            build_scenario(data)
+        assert str(excinfo.value) == message
+
     def test_example_scenario_loads(self):
         scenario = load_scenario(EXAMPLE)
         assert scenario.name == "forty-node-churn"
@@ -186,12 +207,40 @@ class TestCli:
         {"topology": {"kind": "fig7"}, "sources": [
             {"kind": "churn", "updates": 50,
              "rss_jitter_db": float("nan")}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "mobility", "node": 1, "to": [10.0, 10.0],
+             "steps": 2.9, "interval_us": 1000.0}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "mobility", "node": 1, "to": [10.0, 10.0],
+             "steps": 2, "interval_us": 1000.0, "seed": True}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "rss_wobble", "client": 1, "updates": "5"}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "rss_wobble", "client": 2.5, "updates": 2}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "rss_wobble", "client": 1, "updates": 2,
+             "seed": 1.0}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "churn", "updates": 50, "seed": True}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "churn", "updates": 50.0}]},
+        {"topology": {"kind": "fig7"}, "sources": [
+            {"kind": "churn", "updates": 50, "max_backlog": "8"}]},
+        {"topology": {"kind": "random_t", "m": 2.5, "n": 2}},
+        {"topology": {"kind": "random_t", "m": 2, "n": 2, "seed": "0"}},
+        {"topology": {"kind": "fig7"}, "config": {"batch_slots": 12.0}},
+        {"topology": {"kind": "fig7"}, "config": {"demand_cap": True}},
+        {"topology": {"kind": "fig7"}, "config": {"debounce_events": "64"}},
     ], ids=["unknown-kind", "list", "topology-list", "source-int",
             "event-node-str", "event-backlog-str", "event-rss-list",
             "event-backlog-inf", "event-rss-nan", "event-rss-inf",
             "event-rss-str", "mobility-node-oob", "mobility-node-neg",
             "mobility-to-short", "mobility-to-nan", "wobble-jitter-nan",
-            "churn-jitter-nan"])
+            "churn-jitter-nan", "mobility-steps-float", "mobility-seed-bool",
+            "wobble-updates-str", "wobble-client-float", "wobble-seed-float",
+            "churn-seed-bool", "churn-updates-float", "churn-backlog-str",
+            "topology-m-float", "topology-seed-str", "config-slots-float",
+            "config-cap-bool", "config-debounce-str"])
     def test_invalid_scenario_exits_2(self, tmp_path, capsys, scenario):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))

@@ -10,10 +10,13 @@ first, list order), with the scheduler's and converter's accept loops
 written out candidate by candidate.  RSS
 matrices mix unreachable pairs (-inf dBm, 0 mW), values on the
 decode threshold and arbitrary levels, so verdicts sit on the boundary
-where a reordered or dropped term would flip them.
+where a reordered or dropped term would flip them.  The guard-band
+tests put single receptions ulps either side of the data and ACK
+thresholds, where the fold's mW comparison must defer to the dB test.
 """
 
 import itertools
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -236,3 +239,120 @@ def test_failing_base_lets_no_candidate_in():
     assert greedy_maximal_extension(graph, base, [far], imap) == base
     assert greedy_maximal_extension(graph, base[:2], [far], imap) == [
         *base[:2], far]
+
+
+# ----------------------------------------------------------------------
+# The mW guard band: verdicts within ulps of the thresholds
+# ----------------------------------------------------------------------
+#: ``(threshold, signal dBm, interferer dBm)`` where the dB verdict
+#: passes but the bare mW comparison ``I <= S / dbm_to_mw(min_db)``
+#: fails: the float error of the two paths differs in the last ulp, so
+#: a mW-only fold would flip this verdict.  Found by scanning ulps
+#: around the cap for signals from -80 to -60 dBm.
+BARE_MW_DISAGREES = [
+    ("data", -80.0, -94.020624399283),
+    ("ack", -80.0, -89.25627577491815),
+]
+ULPS = 48
+
+
+def two_link_world(reception, signal_dbm, interferer_dbm):
+    """``0->1`` and ``2->3``, where one reception of ``0->1`` (its
+    data at 1 from 0, or its ACK at 0 from 1) faces the other link
+    alone; every other reception is clear."""
+    clear = -40.0
+    levels = {(0, 1): clear, (1, 0): clear, (2, 3): clear, (3, 2): clear}
+    if reception == "data":
+        levels[(0, 1)] = signal_dbm
+        levels[(2, 1)] = interferer_dbm
+    else:
+        levels[(1, 0)] = signal_dbm
+        levels[(3, 0)] = interferer_dbm
+    matrix = [[levels.get((tx, rx), NO_PATH) for rx in range(4)]
+              for tx in range(4)]
+    return InterferenceMap(RssTable.from_matrix(matrix), DOT11G,
+                           margin_db=MARGIN_DB)
+
+
+def ulps_around(level):
+    """Every float from ``ULPS`` ulps below ``level`` to as many above."""
+    values = [level]
+    for _ in range(ULPS):
+        values.append(math.nextafter(values[-1], math.inf))
+        values.insert(0, math.nextafter(values[0], NO_PATH))
+    return values
+
+
+def min_db(imap, reception):
+    return imap.data_min_db if reception == "data" else imap.ack_min_db
+
+
+def boundary_interferers(imap, reception, signal_dbm):
+    """Interferer levels around the one whose sum with the noise floor
+    sits on the reception's SINR threshold."""
+    cap_mw = dbm_to_mw(signal_dbm) / dbm_to_mw(min_db(imap, reception))
+    return ulps_around(mw_to_dbm(cap_mw - imap.noise_mw))
+
+
+def assert_slot_matches_db_fold(imap):
+    """Every SlotSurvival entry point against ``ref_set_survives``."""
+    a, b = Link(0, 1), Link(2, 3)
+    expected = ref_set_survives(imap, [a, b])
+    for first, second in ((a, b), (b, a)):
+        slot = imap.slot()
+        kept = [first] if ref_set_survives(imap, [first]) else []
+        assert slot.try_add(first) is bool(kept)
+        fits = ref_set_survives(imap, [*kept, second])
+        assert slot.fits(second) is fits
+        assert slot.try_add(second) is fits
+        assert slot.links == kept + [second] * fits
+    assert imap.conflicts(a, b) is (not expected)
+    assert imap.set_survives([a, b]) is expected
+    assert imap.set_survives([b, a]) is expected
+    return expected
+
+
+def test_bare_mw_comparison_disagrees_with_db_verdict():
+    for reception, signal_dbm, interferer_dbm in BARE_MW_DISAGREES:
+        imap = two_link_world(reception, signal_dbm, interferer_dbm)
+        threshold = min_db(imap, reception)
+        signal_mw = dbm_to_mw(signal_dbm)
+        interference_mw = imap.noise_mw + dbm_to_mw(interferer_dbm)
+        db_verdict = (mw_to_dbm(signal_mw) - mw_to_dbm(interference_mw)
+                      >= threshold)
+        assert db_verdict is not (
+            interference_mw <= signal_mw / dbm_to_mw(threshold))
+        assert assert_slot_matches_db_fold(imap) is db_verdict
+
+
+def test_verdicts_within_ulps_of_the_thresholds():
+    """Data and ACK receptions straddling their thresholds by single
+    ulps, accepted first or tested as the candidate, take the dB
+    verdict on both sides."""
+    for reception in ("data", "ack"):
+        for signal_dbm in (-80.0, -76.3, -71.0, -64.9, -60.0):
+            probe = two_link_world(reception, signal_dbm, NO_PATH)
+            verdicts = {
+                assert_slot_matches_db_fold(
+                    two_link_world(reception, signal_dbm, level))
+                for level in boundary_interferers(probe, reception,
+                                                  signal_dbm)}
+            assert verdicts == {True, False}, (reception, signal_dbm)
+
+
+def test_lone_link_on_the_noise_floor():
+    """A link alone faces only the noise floor: signals ulps either
+    side of ``noise + min_db`` still take the dB verdict, and a 0 mW
+    signal fails."""
+    for reception in ("data", "ack"):
+        probe = two_link_world(reception, -40.0, NO_PATH)
+        level = mw_to_dbm(probe.noise_mw) + min_db(probe, reception)
+        verdicts = set()
+        for signal_dbm in [*ulps_around(level), NO_PATH]:
+            imap = two_link_world(reception, signal_dbm, NO_PATH)
+            alone = ref_set_survives(imap, [Link(0, 1)])
+            assert imap.slot().fits(Link(0, 1)) is alone
+            verdicts.add(alone)
+            assert_slot_matches_db_fold(imap)
+        assert verdicts == {True, False}, reception
+        assert not alone  # the 0 mW signal
