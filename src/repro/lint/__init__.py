@@ -36,16 +36,16 @@ patterns that break it *at commit time*:
 
 Every rule that looks at imports or clock/RNG calls reads them from one
 per-module fact record (:class:`repro.lint.callgraph.ModuleFacts`),
-extracted in one pass and cached by content hash.
+extracted in one pass per file and handed to the whole-program rules
+in memory.
 
 Run it as ``python -m repro.lint [paths]`` (paths default to ``src``).
 Findings go to stderr as ``path:line:col: RULE message``; exit code 0
-means clean, 1 means findings, 2 means bad input (unreadable path,
-syntax error, broken config) — the same convention as the doctor CLI.
+means clean, 1 means findings, 2 means bad input (unreadable path, no
+Python file under the paths, syntax error, broken config) — the same
+convention as the doctor CLI.
 ``--format sarif`` renders the findings as one SARIF 2.1.0 document on
-stdout for CI code-scanning; ``--no-cache`` bypasses the content-hash
-cache (``.dominolint-cache.json``) that makes warm whole-tree runs
-cheap.
+stdout for CI code-scanning.
 
 Suppress a deliberate violation on its own line::
 

@@ -6,9 +6,8 @@ read the clock or an RNG?" answers from one record:
 * :class:`ModuleFacts` is everything the import, source and flow rules
   need from one module, extracted in a single AST pass by
   :class:`_FactsExtractor` — the only code in the linter that reads
-  import statements or classifies clock/RNG calls — and fully
-  JSON-serializable, so the content-hash cache can skip re-parsing
-  unchanged files entirely.
+  import statements or classifies clock/RNG calls.  Phase 1 hands
+  the records to phase 2 in memory.
 * :class:`ProgramIndex` is the assembled whole-program view: the
   module table (whose import sites, *lazy* function-level imports
   included, form the package graph of :mod:`repro.lint.layering`) and
@@ -30,10 +29,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .taint import intra_taint, source_kind
 
-#: Serialized-facts schema version; bump on shape changes so stale
-#: cache entries self-invalidate.
-FACTS_VERSION = 2
-
 
 @dataclass
 class ImportEdge:
@@ -46,15 +41,6 @@ class ImportEdge:
     type_checking: bool       # under ``if TYPE_CHECKING:`` (never runs)
     gated: bool               # in a ``try`` that catches ImportError
 
-    def to_json(self) -> List[Any]:
-        return [self.target, self.lineno, self.col, int(self.lazy),
-                int(self.type_checking), int(self.gated)]
-
-    @staticmethod
-    def from_json(row: Sequence[Any]) -> "ImportEdge":
-        return ImportEdge(str(row[0]), int(row[1]), int(row[2]),
-                          bool(row[3]), bool(row[4]), bool(row[5]))
-
 
 @dataclass
 class SourceCall:
@@ -65,14 +51,6 @@ class SourceCall:
     lineno: int
     col: int
 
-    def to_json(self) -> List[Any]:
-        return [self.source, self.raw, self.lineno, self.col]
-
-    @staticmethod
-    def from_json(row: Sequence[Any]) -> "SourceCall":
-        return SourceCall(str(row[0]), str(row[1]), int(row[2]),
-                          int(row[3]))
-
 
 @dataclass
 class CallSite:
@@ -82,13 +60,6 @@ class CallSite:
     raw: str                  # the source spelling (for messages)
     lineno: int
     col: int
-
-    def to_json(self) -> List[Any]:
-        return [self.callee, self.raw, self.lineno, self.col]
-
-    @staticmethod
-    def from_json(row: Sequence[Any]) -> "CallSite":
-        return CallSite(row[0], str(row[1]), int(row[2]), int(row[3]))
 
 
 @dataclass
@@ -105,25 +76,6 @@ class FunctionFacts:
     #: return value — the interprocedural propagation edges.
     return_deps: List[str] = field(default_factory=list)
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "qname": self.qname,
-            "lineno": self.lineno,
-            "calls": [c.to_json() for c in self.calls],
-            "direct": list(self.direct_return_taint),
-            "ret_deps": list(self.return_deps),
-        }
-
-    @staticmethod
-    def from_json(data: Dict[str, Any]) -> "FunctionFacts":
-        return FunctionFacts(
-            qname=str(data["qname"]),
-            lineno=int(data["lineno"]),
-            calls=[CallSite.from_json(c) for c in data["calls"]],
-            direct_return_taint=[str(k) for k in data["direct"]],
-            return_deps=[str(d) for d in data["ret_deps"]],
-        )
-
 
 @dataclass
 class ModuleFacts:
@@ -134,37 +86,6 @@ class ModuleFacts:
     imports: List[ImportEdge] = field(default_factory=list)
     sources: List[SourceCall] = field(default_factory=list)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
-    #: ``lineno -> [RULE, ...]`` inline suppressions, so cross-file
-    #: findings can honour them without re-reading the source.
-    suppressions: Dict[int, List[str]] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "v": FACTS_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "imports": [e.to_json() for e in self.imports],
-            "sources": [s.to_json() for s in self.sources],
-            "functions": {q: f.to_json()
-                          for q, f in sorted(self.functions.items())},
-            "suppressions": {str(line): rules for line, rules
-                             in sorted(self.suppressions.items())},
-        }
-
-    @staticmethod
-    def from_json(data: Dict[str, Any]) -> Optional["ModuleFacts"]:
-        if data.get("v") != FACTS_VERSION:
-            return None
-        return ModuleFacts(
-            module=str(data["module"]),
-            path=str(data["path"]),
-            imports=[ImportEdge.from_json(e) for e in data["imports"]],
-            sources=[SourceCall.from_json(s) for s in data["sources"]],
-            functions={str(q): FunctionFacts.from_json(f)
-                       for q, f in data["functions"].items()},
-            suppressions={int(line): [str(r) for r in rules]
-                          for line, rules in data["suppressions"].items()},
-        )
 
 
 class _Scope:
@@ -427,11 +348,9 @@ def summarize_function(qname: str, node: ast.AST, scope: _Scope,
 
 
 def extract_facts(tree: ast.AST, module: str, path: str,
-                  is_package: bool,
-                  suppressions: Dict[int, List[str]]) -> ModuleFacts:
+                  is_package: bool) -> ModuleFacts:
     """All cross-file facts for one parsed module."""
-    facts = ModuleFacts(module=module, path=path,
-                        suppressions=dict(suppressions))
+    facts = ModuleFacts(module=module, path=path)
     extractor = _FactsExtractor(facts, is_package)
     extractor.visit(tree)
     extractor.finish()

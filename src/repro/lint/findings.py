@@ -43,11 +43,6 @@ class Suppressions:
             if rules:
                 self._by_line[lineno] = rules
 
-    def by_line(self) -> Dict[int, List[str]]:
-        """``lineno -> sorted rules`` — the serializable facts form."""
-        return {line: sorted(rules)
-                for line, rules in self._by_line.items()}
-
     def allows(self, finding: Finding) -> bool:
         """``True`` if ``finding`` survives (is *not* suppressed)."""
         rules = self._by_line.get(finding.line)

@@ -26,7 +26,7 @@ DOM503
     to pickle or silently snapshot mutable state at fork time.  Pool
     entry points must be module-level functions.
 
-All three are file-local (cacheable per content hash); the await
+All three are file-local (phase 1 of the runner); the await
 analysis runs on the statement CFG from :mod:`repro.lint.cfg`.
 """
 

@@ -6,14 +6,14 @@ v2 runs in two phases:
    clock/RNG calls, function summaries; :mod:`repro.lint.callgraph`),
    the import rules read off those facts (DOM201/DOM202 layering,
    DOM401 deps) and the syntactic families (DOM103/DOM104
-   determinism, DOM3xx telemetry, DOM5xx async/pool).  This phase is
-   pure per file, so its output is cached by content hash
-   (:mod:`repro.lint.cache`).
+   determinism, DOM3xx telemetry, DOM5xx async/pool).  Each file is
+   parsed exactly once per run.
 2. **Whole-program** — DOM101/DOM102 (wall-clock and RNG values
    reaching sim code, directly or through call hops) over the
-   :class:`ProgramIndex` built from *every* module under
-   ``src-root``, regardless of which paths were requested; findings
-   are then filtered down to the requested paths so
+   :class:`ProgramIndex` built in memory from the phase-1 facts of
+   *every* module under ``src-root``, regardless of which paths were
+   requested; findings are then kept only on the requested files,
+   through each file's phase-1 :class:`Suppressions`, so
    ``python -m repro.lint src/repro/sim`` still sees taint arriving
    from a helper in another package.
 """
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Optional, Set,
                     TextIO, Tuple)
 
-from .cache import LintCache, file_digest, open_cache
 from .callgraph import ModuleFacts, ProgramIndex, build_index, extract_facts
 from .config import Config, ConfigError, load_config
 from .deps import check_dependencies
@@ -49,14 +48,19 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """All ``.py`` files under ``paths``, deterministically ordered."""
+    """All ``.py`` files under ``paths``, deterministically ordered.
+
+    Skipped directories are judged below each walked path only, so a
+    checkout that itself sits under, say, ``.venv`` still lints.
+    """
     for path in paths:
         if path.is_file():
             if path.suffix == ".py":
                 yield path
         else:
             for candidate in sorted(path.rglob("*.py")):
-                if not _SKIP_DIRS.intersection(candidate.parts):
+                below = candidate.relative_to(path).parts
+                if not _SKIP_DIRS.intersection(below):
                     yield candidate
 
 
@@ -68,13 +72,14 @@ def _relpath(path: Path, root: Path) -> str:
 
 
 def analyze_source(source: str, path: Path, config: Config,
-                   registry: Optional[SchemaRegistry],
-                   ) -> Tuple[List[Finding], Optional[ModuleFacts]]:
-    """Phase-1 output for one file: findings + cross-file facts.
+                   registry: SchemaRegistry,
+                   ) -> Tuple[List[Finding], Optional[ModuleFacts],
+                              Suppressions]:
+    """Phase-1 output for one file: findings, facts, suppressions.
 
     Findings come back post-suppression, except layering findings,
-    which no comment silences; facts carry the suppression table so
-    phase 2 can honour inline disables without re-reading the source.
+    which no comment silences; the file's :class:`Suppressions` come
+    back too, so phase 2 filters its findings through the same object.
     Raises ``SyntaxError`` upward.
     """
     tree = ast.parse(source, filename=str(path))
@@ -86,41 +91,32 @@ def analyze_source(source: str, path: Path, config: Config,
     facts: Optional[ModuleFacts] = None
     if module is not None:
         facts = extract_facts(tree, module, rel,
-                              path.name == "__init__.py",
-                              suppressions.by_line())
+                              path.name == "__init__.py")
         if config.in_sim_packages(module):
             findings.extend(check_determinism(tree, rel))
             findings.extend(check_dependencies(facts, config))
         layering = check_layering(facts, config)
-        if registry is not None:
-            findings.extend(check_emissions(tree, rel, registry))
+        findings.extend(check_emissions(tree, rel, registry))
         findings.extend(check_async(tree, module, rel, config))
-    return [*suppressions.filter(findings), *layering], facts
+    return [*suppressions.filter(findings), *layering], facts, suppressions
 
 
 def _whole_program_findings(index: ProgramIndex, config: Config,
-                            target_rels: Set[str]) -> List[Finding]:
-    """Phase 2, filtered to the requested paths + inline suppressions."""
-    facts_by_path: Dict[str, ModuleFacts] = {
-        facts.path: facts for facts in index.modules.values()
-    }
-    out: List[Finding] = []
-    for finding in check_taint(index, config):
-        if finding.path not in target_rels:
-            continue
-        facts = facts_by_path.get(finding.path)
-        if facts is not None:
-            rules = facts.suppressions.get(finding.line, [])
-            if finding.rule in rules or "ALL" in rules:
-                continue
-        out.append(finding)
-    return out
+                            targets: Dict[str, Suppressions],
+                            ) -> List[Finding]:
+    """Phase 2, kept on the requested files through their suppressions.
+
+    ``targets`` maps each requested file's root-relative path to the
+    :class:`Suppressions` phase 1 read from it.
+    """
+    return [finding for finding in check_taint(index, config)
+            if finding.path in targets
+            and targets[finding.path].allows(finding)]
 
 
 def lint_paths(paths: List[Path], config: Config,
                update_baseline: bool = False,
                stderr: Optional[TextIO] = None,
-               cache: Optional[LintCache] = None,
                output_format: str = "text",
                stdout: Optional[TextIO] = None) -> int:
     """Lint ``paths``; print findings; return exit code.
@@ -128,6 +124,7 @@ def lint_paths(paths: List[Path], config: Config,
     Human output goes to ``stderr`` (the default format); with
     ``output_format="sarif"`` the findings render as one SARIF 2.1.0
     document on ``stdout`` instead, while diagnostics stay on stderr.
+    A missing path, or paths holding no ``.py`` file, is bad input.
     """
     if stderr is None:  # bind at call time so capture/redirection works
         stderr = sys.stderr
@@ -138,17 +135,20 @@ def lint_paths(paths: List[Path], config: Config,
         for path in missing:
             print(f"dominolint: no such path: {path}", file=stderr)
         return EXIT_BAD_INPUT
+    target_files = list(iter_python_files(paths))
+    if not target_files:
+        listed = " ".join(str(path) for path in paths)
+        print(f"dominolint: no Python files under {listed}", file=stderr)
+        return EXIT_BAD_INPUT
 
     try:
-        registry: Optional[SchemaRegistry] = load_registry(config)
+        registry = load_registry(config)
     except SchemaError as exc:
         print(f"dominolint: {exc}", file=stderr)
         return EXIT_BAD_INPUT
 
     # Phase-1 worklist: requested files first, then the rest of the
     # src tree (facts only — the dataflow phase needs the whole view).
-    target_files = list(iter_python_files(paths))
-    target_rels = {_relpath(p, config.root) for p in target_files}
     seen: Set[Path] = set()
     worklist: List[Tuple[Path, bool]] = []
     for path in target_files:
@@ -165,6 +165,7 @@ def lint_paths(paths: List[Path], config: Config,
 
     findings: List[Finding] = []
     facts_list: List[ModuleFacts] = []
+    targets: Dict[str, Suppressions] = {}
     bad_input = False
     for path, is_target in worklist:
         try:
@@ -175,32 +176,26 @@ def lint_paths(paths: List[Path], config: Config,
                       file=stderr)
                 bad_input = True
             continue
-        sha = file_digest(data)
         rel = _relpath(path, config.root)
-        cached = cache.get(rel, sha) if cache is not None else None
-        if cached is not None:
-            file_findings, facts = cached
-        else:
-            try:
-                file_findings, facts = analyze_source(
-                    data.decode(), path, config, registry)
-            except (SyntaxError, UnicodeDecodeError) as exc:
-                if is_target:
-                    lineno = getattr(exc, "lineno", None) or 0
-                    msg = getattr(exc, "msg", None) or str(exc)
-                    print(f"dominolint: cannot parse {rel}:"
-                          f"{lineno}: {msg}", file=stderr)
-                    bad_input = True
-                continue
-            if cache is not None:
-                cache.put(rel, sha, file_findings, facts)
+        try:
+            file_findings, facts, suppressions = analyze_source(
+                data.decode(), path, config, registry)
+        except (SyntaxError, UnicodeDecodeError) as exc:
+            if is_target:
+                lineno = getattr(exc, "lineno", None) or 0
+                msg = getattr(exc, "msg", None) or str(exc)
+                print(f"dominolint: cannot parse {rel}:"
+                      f"{lineno}: {msg}", file=stderr)
+                bad_input = True
+            continue
         if facts is not None:
             facts_list.append(facts)
         if is_target:
             findings.extend(file_findings)
+            targets[rel] = suppressions
 
     findings.extend(_whole_program_findings(
-        build_index(facts_list), config, target_rels))
+        build_index(facts_list), config, targets))
 
     if update_baseline:
         write_baseline(registry, config)
@@ -209,9 +204,6 @@ def lint_paths(paths: List[Path], config: Config,
         baseline_findings = check_baseline(registry, config, rel_events)
         events_suppressions = Suppressions(config.schema_events.read_text())
         findings.extend(events_suppressions.filter(baseline_findings))
-
-    if cache is not None:
-        cache.save()
 
     final = sorted(set(findings))
     if output_format == "sarif":
@@ -240,10 +232,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="findings output: human text on stderr (default) or one "
              "SARIF 2.1.0 document on stdout")
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and don't write the content-hash result cache "
-             "(.dominolint-cache.json)")
-    parser.add_argument(
         "--update-schema-baseline", action="store_true",
         help="rewrite the committed schema fingerprint from the live "
              "events.py registry (run after a deliberate schema change)")
@@ -254,7 +242,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"dominolint: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     paths = [Path(p) for p in args.paths]
-    cache = None if args.no_cache else open_cache(config)
     return lint_paths(paths, config,
                       update_baseline=args.update_schema_baseline,
-                      cache=cache, output_format=args.format)
+                      output_format=args.format)

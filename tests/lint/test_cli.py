@@ -1,6 +1,7 @@
 """CLI behavior: golden stderr, exit codes 0/1/2, and the meta-test
 that the live tree lints clean."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,18 @@ def test_golden_stderr_over_fixture_tree(proj_config):
     assert err == golden
 
 
+def test_checkout_under_a_skipped_dir_name_still_lints(tmp_path,
+                                                       monkeypatch, capsys):
+    """Skipped directory names count only below the walked path, so
+    a project inside ``.venv`` (or ``.git``, ...) is linted in full."""
+    copy = tmp_path / ".venv" / "proj"
+    shutil.copytree(PROJ, copy)
+    monkeypatch.chdir(copy)
+    assert main([str(copy / "src")]) == 1
+    golden = (FIXTURES / "golden" / "proj_bad.txt").read_text()
+    assert capsys.readouterr().err == golden
+
+
 def test_exit_zero_on_clean_subtree(proj_config):
     code, err = run_lint([PROJ / "src/fake/telemetry"], proj_config)
     assert code == 0, err
@@ -26,6 +39,19 @@ def test_exit_two_on_missing_path(proj_config):
     code, err = run_lint([PROJ / "no_such_file.py"], proj_config)
     assert code == 2
     assert "no such path" in err
+
+
+@pytest.mark.parametrize("name", ["README.md", "empty"])
+def test_exit_two_when_nothing_to_lint(proj_config, tmp_path, name):
+    """Paths without a ``.py`` file are bad input, not a clean tree."""
+    target = tmp_path / name
+    if name == "empty":
+        target.mkdir()
+    else:
+        target.write_text("# not Python\n")
+    code, err = run_lint([target], proj_config)
+    assert code == 2
+    assert err == f"dominolint: no Python files under {target}\n"
 
 
 def test_exit_two_on_syntax_error(proj_config, tmp_path):

@@ -1,14 +1,11 @@
-"""The v2 dataflow engine: taint hops, DOM5xx CFG analysis, the
-content-hash cache, and SARIF output."""
+"""The v2 dataflow engine: taint hops, DOM5xx CFG analysis, and SARIF
+output."""
 
 import ast
 import io
 import json
-import shutil
-from pathlib import Path
 
-from repro.lint import load_config, main
-from repro.lint.cache import LintCache, cache_salt
+from repro.lint import main
 from repro.lint.cfg import await_crossed, build_cfg, guarded_statements
 from repro.lint.callgraph import extract_facts
 from repro.lint.runner import lint_paths
@@ -29,7 +26,7 @@ def test_old_determinism_pass_misses_laundered_clock(proj_config):
     """
     source = (PROJ / "src/fake/sim/bad_dom105.py").read_text()
     facts = extract_facts(ast.parse(source), "fake.sim.bad_dom105",
-                          "bad_dom105.py", False, {})
+                          "bad_dom105.py", False)
     assert facts.sources == []
 
     code, err = run_lint([PROJ / "src/fake/sim/bad_dom105.py"],
@@ -136,59 +133,6 @@ def test_guarded_statements_cover_lock_blocks():
 
 
 # ----------------------------------------------------------------------
-# The content-hash cache
-# ----------------------------------------------------------------------
-def _run_cached(root: Path, cache: LintCache):
-    config = load_config(root)
-    stream = io.StringIO()
-    code = lint_paths([root / "src"], config, stderr=stream, cache=cache)
-    return code, stream.getvalue()
-
-
-def test_cache_warm_run_is_identical_and_invalidates(tmp_path):
-    copy = tmp_path / "proj"
-    shutil.copytree(PROJ, copy)
-    config = load_config(copy)
-    salt = cache_salt(config)
-    cache_path = copy / ".cache.json"
-
-    cache = LintCache(cache_path, salt)
-    code_cold, err_cold = _run_cached(copy, cache)
-    cache.save()
-    assert cache_path.is_file()
-
-    warm = LintCache(cache_path, salt)
-    code_warm, err_warm = _run_cached(copy, warm)
-    assert (code_warm, err_warm) == (code_cold, err_cold)
-
-    # Editing a file invalidates exactly its entry: the fixed file's
-    # findings disappear on the next run.
-    bad = copy / "src/fake/sim/bad_dom104.py"
-    bad.write_text("def fine():\n    return 1\n")
-    edited = LintCache(cache_path, salt)
-    _, err_edited = _run_cached(copy, edited)
-    assert "DOM104" not in err_edited
-    assert "DOM101" in err_edited      # untouched findings survive
-
-    # A salt change (new linter version / config) drops everything
-    # silently — degrade to a cold run, never to stale output.
-    stale = LintCache(cache_path, "different-salt")
-    code_stale, err_stale = _run_cached(copy, stale)
-    assert err_stale == err_edited
-
-
-def test_cache_tolerates_corrupt_file(tmp_path):
-    copy = tmp_path / "proj"
-    shutil.copytree(PROJ, copy)
-    cache_path = copy / ".cache.json"
-    cache_path.write_text("{not json")
-    config = load_config(copy)
-    cache = LintCache(cache_path, cache_salt(config))
-    code, err = _run_cached(copy, cache)
-    assert code == 1 and "DOM101" in err
-
-
-# ----------------------------------------------------------------------
 # SARIF output
 # ----------------------------------------------------------------------
 def test_sarif_document_on_stdout(proj_config):
@@ -214,8 +158,7 @@ def test_sarif_document_on_stdout(proj_config):
 
 def test_cli_format_flag(monkeypatch, capsys):
     monkeypatch.chdir(PROJ)
-    assert main(["--format", "sarif", "--no-cache",
-                 "src/fake/sim/bad_dom101.py"]) == 1
+    assert main(["--format", "sarif", "src/fake/sim/bad_dom101.py"]) == 1
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert {r["ruleId"] for r in doc["runs"][0]["results"]} == {"DOM101"}
